@@ -50,6 +50,84 @@ refOf(std::size_t i, unsigned groups)
 
 } // namespace
 
+std::size_t
+SightingTable::slotOf(std::uint64_t key) const
+{
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = flatHome(key, bits_);
+    while (slots_[i].count != 0 && slots_[i].key != key)
+        i = (i + 1) & mask;
+    return i;
+}
+
+void
+SightingTable::grow()
+{
+    bits_ = bits_ != 0 ? bits_ + 1 : 10;
+    std::vector<Slot> old(std::size_t(1) << bits_, Slot{0, 0});
+    old.swap(slots_);
+    for (const Slot &s : old)
+        if (s.count != 0)
+            slots_[slotOf(s.key)] = s;
+}
+
+std::uint64_t
+SightingTable::bump(std::uint64_t key)
+{
+    if (2 * (size_ + 1) > slots_.size())
+        grow();
+    Slot &s = slots_[slotOf(key)];
+    if (s.count == 0) {
+        s.key = key;
+        ++size_;
+    }
+    return ++s.count;
+}
+
+std::uint64_t
+SightingTable::count(std::uint64_t key) const
+{
+    return slots_.empty() ? 0 : slots_[slotOf(key)].count;
+}
+
+void
+WaitCondenser::condense(const std::vector<Sample> &samples,
+                        std::vector<PatternWaits> &out)
+{
+    // At most samples.size() distinct pairs: keep the table at or
+    // below half load. Regrowing drops every stamp at once.
+    if (slots_.size() < 2 * samples.size()) {
+        while ((std::size_t(1) << bits_) < 2 * samples.size())
+            ++bits_;
+        slots_.assign(std::size_t(1) << bits_, Slot{0, 0});
+        gen_ = 0;
+    }
+    if (++gen_ == 0) {
+        for (Slot &s : slots_)
+            s.gen = 0;
+        gen_ = 1;
+    }
+    const std::size_t mask = slots_.size() - 1;
+    for (const auto &[cls, wait] : samples) {
+        const std::uint64_t h =
+            (wait << 3) ^ static_cast<std::uint64_t>(cls);
+        for (std::size_t i = flatHome(h, bits_);; i = (i + 1) & mask) {
+            Slot &s = slots_[i];
+            if (s.gen != gen_) {
+                s.gen = gen_;
+                s.entry = static_cast<std::uint32_t>(out.size());
+                out.push_back(PatternWaits{cls, wait, 1});
+                break;
+            }
+            PatternWaits &w = out[s.entry];
+            if (w.cls == cls && w.wait == wait) {
+                ++w.count;
+                break;
+            }
+        }
+    }
+}
+
 /**
  * Replay the exact slow-path serve sequence of one access shape on
  * scratch servers at start = 0, optionally pre-loading each touched
@@ -219,6 +297,8 @@ BurstPatternCache::makeShape(unsigned first_module, unsigned words,
     for (std::size_t i = 0; i < touched.size(); ++i)
         if (touched[i])
             sh.servers.push_back(refOf(i, groups));
+    sh.patterns = FlatKeyTable<BurstPattern>(sh.servers.size());
+    sh.paramPatterns = FlatKeyTable<ParamFamily>(sh.servers.size() + 1);
 
     // Bank ranges (servers are emitted in flat-index order, so each
     // bank is contiguous) and group/module ranks — the coordinates

@@ -45,9 +45,12 @@
 #ifndef CEDAR_NET_FASTPATH_HH
 #define CEDAR_NET_FASTPATH_HH
 
+#include <algorithm>
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "mem/address_map.hh"
@@ -177,19 +180,203 @@ struct ParamPattern
  */
 using ParamFamily = std::vector<ParamPattern>;
 
-/** FNV-1a over the raw offset ticks; equality stays the exact
- *  element-wise vector compare, so a hash collision can never apply
- *  the wrong pattern. */
-struct OffsetVecHash
+/** FNV-1a offset basis. Fast-path keys are hashed one element at a
+ *  time with fnvStep() while they are gathered, so each key is hashed
+ *  exactly once; every later lookup and sighting takes that value. */
+inline constexpr std::uint64_t fnv_basis = 1469598103934665603ULL;
+
+/** Fold one more key element into an FNV-1a hash. */
+inline std::uint64_t
+fnvStep(std::uint64_t h, sim::Tick t)
 {
-    std::size_t
-    operator()(const std::vector<sim::Tick> &v) const
+    return (h ^ t) * 1099511628211ULL;
+}
+
+/** FNV-1a over a whole key: what the incremental fnvStep() chain
+ *  started at fnv_basis yields. */
+inline std::uint64_t
+fnvHash(const std::vector<sim::Tick> &key)
+{
+    std::uint64_t h = fnv_basis;
+    for (const sim::Tick t : key)
+        h = fnvStep(h, t);
+    return h;
+}
+
+/** Home slot of @p hash in a table of 2^@p bits slots (@p bits >= 1).
+ *  FNV over whole 64-bit ticks leaves weak low bits, so the hash is
+ *  mixed first: Fibonacci hashing keeps the product's high bits,
+ *  which depend on every bit of the hash. */
+inline std::size_t
+flatHome(std::uint64_t hash, unsigned bits)
+{
+    return static_cast<std::size_t>((hash * 0x9e3779b97f4a7c15ULL) >>
+                                    (64 - bits));
+}
+
+/**
+ * Open-addressing map from fixed-length tick keys to V — one shape's
+ * pattern store. Every key of a shape has the same length, so the
+ * keys live in one arena at a fixed stride rather than in a heap
+ * vector each, and the values in one vector. A slot holds the key's
+ * full 64-bit hash (computed once by the caller while it gathered the
+ * key) and its entry index; a hash match is confirmed element by
+ * element, so keys sharing a hash can never see each other's value.
+ * Linear probing, grown by doubling at half load; nothing is
+ * allocated before the first insert. Values never move between
+ * inserts, and entries are never erased.
+ */
+template <typename V>
+class FlatKeyTable
+{
+  public:
+    explicit FlatKeyTable(std::size_t stride = 0) : stride_(stride) {}
+
+    /** Elements per key. */
+    std::size_t stride() const { return stride_; }
+    /** Keys stored. */
+    std::size_t size() const { return values_.size(); }
+
+    /** The value under @p key (stride() elements hashing to
+     *  @p hash), or nullptr. */
+    const V *
+    find(const sim::Tick *key, std::uint64_t hash) const
     {
-        std::uint64_t h = 1469598103934665603ULL;
-        for (const sim::Tick t : v)
-            h = (h ^ t) * 1099511628211ULL;
-        return static_cast<std::size_t>(h);
+        if (slots_.empty())
+            return nullptr;
+        const Slot &s = slots_[slotOf(key, hash)];
+        return s.entry != empty ? &values_[s.entry] : nullptr;
     }
+
+    /** The value under @p key, value-initialised and inserted when
+     *  absent. */
+    V &
+    findOrInsert(const sim::Tick *key, std::uint64_t hash)
+    {
+        std::size_t i = 0;
+        if (!slots_.empty()) {
+            i = slotOf(key, hash);
+            if (slots_[i].entry != empty)
+                return values_[slots_[i].entry];
+        }
+        if (2 * (values_.size() + 1) > slots_.size()) {
+            grow();
+            i = slotOf(key, hash);
+        }
+        slots_[i] = Slot{hash, static_cast<std::uint32_t>(values_.size())};
+        keys_.insert(keys_.end(), key, key + stride_);
+        return values_.emplace_back();
+    }
+
+  private:
+    struct Slot
+    {
+        std::uint64_t hash;
+        std::uint32_t entry;
+    };
+    static constexpr std::uint32_t empty = ~std::uint32_t(0);
+
+    /** The slot holding @p key, or the empty slot that ends its probe
+     *  chain. */
+    std::size_t
+    slotOf(const sim::Tick *key, std::uint64_t hash) const
+    {
+        const std::size_t mask = slots_.size() - 1;
+        for (std::size_t i = flatHome(hash, bits_);; i = (i + 1) & mask) {
+            const Slot &s = slots_[i];
+            if (s.entry == empty ||
+                (s.hash == hash &&
+                 std::equal(key, key + stride_,
+                            keys_.data() + s.entry * stride_)))
+                return i;
+        }
+    }
+
+    void
+    grow()
+    {
+        bits_ = bits_ != 0 ? bits_ + 1 : 3;
+        std::vector<Slot> old(std::size_t(1) << bits_, Slot{0, empty});
+        old.swap(slots_);
+        const std::size_t mask = slots_.size() - 1;
+        for (const Slot &s : old) {
+            if (s.entry == empty)
+                continue;
+            std::size_t i = flatHome(s.hash, bits_);
+            while (slots_[i].entry != empty)
+                i = (i + 1) & mask;
+            slots_[i] = s;
+        }
+    }
+
+    std::size_t stride_;
+    unsigned bits_ = 0;
+    std::vector<Slot> slots_;
+    std::vector<sim::Tick> keys_; //!< entry e's key at [e*stride, +stride)
+    std::vector<V> values_;
+};
+
+/**
+ * The second-sighting filter's table: 64-bit sighting key -> count,
+ * open addressing in one flat slot array (a count of 0 marks an empty
+ * slot). Allocates 1024 slots at the first bump, then doubles at half
+ * load.
+ */
+class SightingTable
+{
+  public:
+    /** Count one more sighting of @p key; returns the new count. */
+    std::uint64_t bump(std::uint64_t key);
+
+    /** Sightings of @p key so far (0 if never bumped). */
+    std::uint64_t count(std::uint64_t key) const;
+
+    /** Distinct keys sighted. */
+    std::size_t size() const { return size_; }
+
+  private:
+    struct Slot
+    {
+        std::uint64_t key;
+        std::uint64_t count;
+    };
+
+    std::size_t slotOf(std::uint64_t key) const;
+    void grow();
+
+    unsigned bits_ = 0;
+    std::size_t size_ = 0;
+    std::vector<Slot> slots_;
+};
+
+/**
+ * Aggregates a recorded run's per-serve (class, wait) samples into
+ * PatternWaits by equal value, without sorting. Entries come out in
+ * first-appearance order; replay does not care, since
+ * MetricsHub::recordWaits only adds to histogram buckets and sums.
+ * The reused table's slots are live only while stamped with the
+ * current generation, so starting a condensation costs an increment
+ * rather than a clear.
+ */
+class WaitCondenser
+{
+  public:
+    using Sample = std::pair<obs::ResourceClass, sim::Tick>;
+
+    /** Append the condensed form of @p samples to @p out. */
+    void condense(const std::vector<Sample> &samples,
+                  std::vector<PatternWaits> &out);
+
+  private:
+    struct Slot
+    {
+        std::uint32_t gen;
+        std::uint32_t entry; //!< index into the output vector
+    };
+
+    unsigned bits_ = 0;
+    std::uint32_t gen_ = 0;
+    std::vector<Slot> slots_;
 };
 
 /** One access shape: its touched-server set (fixed canonical order,
@@ -220,9 +407,9 @@ struct ShapeInfo
      */
     std::vector<sim::Tick> firstArrival;
 
-    std::unordered_map<std::vector<sim::Tick>, BurstPattern,
-                       OffsetVecHash>
-        patterns;
+    /** Exact patterns, keyed by the canonical offset vector
+     *  (stride servers.size()). */
+    FlatKeyTable<BurstPattern> patterns;
 
     /**
      * Parametric pattern families (ParamPattern), keyed by the
@@ -230,11 +417,9 @@ struct ShapeInfo
      * subtracted, plus one trailing element holding the shift-key
      * mask. A bank is shift-keyed in the key iff all its entries are
      * nonzero — a purely structural rule both the recording and
-     * every lookup apply identically.
+     * every lookup apply identically. Stride servers.size() + 1.
      */
-    std::unordered_map<std::vector<sim::Tick>, ParamFamily,
-                       OffsetVecHash>
-        paramPatterns;
+    FlatKeyTable<ParamFamily> paramPatterns;
 
     /** [bankBegin[b], bankBegin[b] + bankCount[b]) is bank b's range
      *  in @p servers (banks are contiguous: makeShape emits servers
@@ -262,15 +447,16 @@ struct ShapeInfo
     std::vector<std::uint32_t> moduleRank;
 
     /**
-     * Per issuing (cluster, CE port): the concrete FifoServer each
-     * @p servers entry resolves to, in the same order. Resolving the
-     * position-free refs costs a bank switch per server per attempt;
-     * the offset gather and the replay apply run once per global
-     * access, so the Network caches the resolution here on first use
-     * (server storage is sized at construction and never moves).
+     * Per issuing CE, indexed cluster * cesPerCluster + CE port: the
+     * concrete FifoServer each @p servers entry resolves to, in the
+     * same order (empty until that CE first issues this shape).
+     * Resolving the position-free refs costs a bank switch per server
+     * per attempt; the offset gather and the replay apply run once
+     * per global access, so the Network caches the resolution here on
+     * first use (server storage is sized at construction and never
+     * moves). Sized by the Network on the shape's first access.
      */
-    std::unordered_map<std::uint32_t, std::vector<sim::FifoServer *>>
-        resolved;
+    std::vector<std::vector<sim::FifoServer *>> resolved;
 };
 
 /**
@@ -297,14 +483,8 @@ class BurstPatternCache
      *  and sync-heavy runs want many of exactly those. */
     static constexpr std::size_t max_pattern_bytes = 192u << 20;
 
-    explicit BurstPatternCache(const mem::AddressMap &map) : map_(map)
-    {
-        // Contended 16/32p sweeps note tens of thousands of one-shot
-        // offset vectors; growing the sighting table from its default
-        // size rehashes a dozen times along the way (measured in the
-        // 32p profile). One up-front reservation amortises it.
-        sightings_.reserve(1u << 15);
-    }
+    /** Every table starts empty and grows by doubling on demand. */
+    explicit BurstPatternCache(const mem::AddressMap &map) : map_(map) {}
 
     /** The shape record for a burst of @p words whose first word
      *  lives on @p first_module (or the single-word RMW shape);
@@ -323,25 +503,28 @@ class BurstPatternCache
     }
 
     /** The learned pattern for @p sh under @p offsets (one entry per
-     *  sh.servers element, same order), or nullptr when this vector
-     *  has none yet. Pure lookup — learning happens through
-     *  shouldRecord()/store(): the Network records the pattern off
-     *  the slow-path run it is about to execute anyway, instead of
-     *  paying a second full scratch replay to build it. */
+     *  sh.servers element, same order; @p hash is its fnvHash()), or
+     *  nullptr when this vector has none yet. Pure lookup — learning
+     *  happens through shouldRecord()/store(): the Network records the
+     *  pattern off the slow-path run it is about to execute anyway,
+     *  instead of paying a second full scratch replay to build it.
+     *  Every method taking a key also takes its precomputed hash. */
     const BurstPattern *
-    find(const ShapeInfo &sh, const std::vector<sim::Tick> &offsets) const
+    find(const ShapeInfo &sh, const std::vector<sim::Tick> &offsets,
+         std::uint64_t hash) const
     {
-        const auto it = sh.patterns.find(offsets);
-        return it != sh.patterns.end() ? &it->second : nullptr;
+        assert(offsets.size() == sh.patterns.stride());
+        return sh.patterns.find(offsets.data(), hash);
     }
 
     /** The pattern family for @p key (base-subtracted canonical
      *  vector + mask element), or nullptr. */
     const ParamFamily *
-    findParam(const ShapeInfo &sh, const std::vector<sim::Tick> &key) const
+    findParam(const ShapeInfo &sh, const std::vector<sim::Tick> &key,
+              std::uint64_t hash) const
     {
-        const auto it = sh.paramPatterns.find(key);
-        return it != sh.paramPatterns.end() ? &it->second : nullptr;
+        assert(key.size() == sh.paramPatterns.stride());
+        return sh.paramPatterns.find(key.data(), hash);
     }
 
     /**
@@ -357,15 +540,15 @@ class BurstPatternCache
      * byte cap or an offset is out of replayable range.
      */
     bool
-    shouldRecord(const ShapeInfo &sh,
-                 const std::vector<sim::Tick> &offsets)
+    shouldRecord(const ShapeInfo &sh, const std::vector<sim::Tick> &offsets,
+                 std::uint64_t hash)
     {
         if (patternBytes_ >= max_pattern_bytes)
             return false;
         for (const sim::Tick o : offsets)
             if (o >= max_offset)
                 return false;
-        return ++sightings_[sightingKey(sh, offsets)] >= 2;
+        return sightings_.bump(sightingKey(sh, hash)) >= 2;
     }
 
     /** shouldRecord() for a pattern *family*: second sighting of the
@@ -374,19 +557,19 @@ class BurstPatternCache
      *  vectors never do. */
     bool
     shouldRecordParam(const ShapeInfo &sh,
-                      const std::vector<sim::Tick> &key)
+                      const std::vector<sim::Tick> &key,
+                      std::uint64_t hash)
     {
         if (patternBytes_ >= max_pattern_bytes)
             return false;
         // A full family whose worst variant is already fully general
         // can never be improved — stop paying recording bookkeeping.
-        const auto it = sh.paramPatterns.find(key);
-        if (it != sh.paramPatterns.end() &&
-            it->second.size() >= max_family_variants &&
-            worstVariant(it->second)->nonRigid == 0)
+        const ParamFamily *fam = findParam(sh, key, hash);
+        if (fam != nullptr && fam->size() >= max_family_variants &&
+            worstVariant(*fam)->nonRigid == 0)
             return false;
-        return ++sightings_[sightingKey(sh, key) ^
-                            0x517cc1b727220a95ULL] >= 2;
+        return sightings_.bump(sightingKey(sh, hash) ^
+                               0x517cc1b727220a95ULL) >= 2;
     }
 
     /** Would storeParam() actually keep a variant scoring
@@ -394,28 +577,29 @@ class BurstPatternCache
      *  condensing a run whose variant would just be dropped. */
     bool
     wouldAcceptParam(const ShapeInfo &sh,
-                     const std::vector<sim::Tick> &key,
+                     const std::vector<sim::Tick> &key, std::uint64_t hash,
                      unsigned non_rigid) const
     {
-        const auto it = sh.paramPatterns.find(key);
-        if (it == sh.paramPatterns.end() ||
-            it->second.size() < max_family_variants)
+        const ParamFamily *fam = findParam(sh, key, hash);
+        if (fam == nullptr || fam->size() < max_family_variants)
             return true;
-        return worstVariant(it->second)->nonRigid > non_rigid;
+        return worstVariant(*fam)->nonRigid > non_rigid;
     }
 
     /** File a pattern recorded from a live slow-path run under
-     *  @p offsets (the canonical vector the gather produced for it). */
+     *  @p offsets (the canonical vector the gather produced for it,
+     *  which find() just missed). */
     void
     store(ShapeInfo &sh, const std::vector<sim::Tick> &offsets,
-          BurstPattern &&p)
+          std::uint64_t hash, BurstPattern &&p)
     {
+        assert(offsets.size() == sh.patterns.stride());
         ++patternsBuilt_;
         patternBytes_ += sizeof(BurstPattern) +
                          p.servers.size() * sizeof(PatternServer) +
                          p.waits.size() * sizeof(PatternWaits) +
                          offsets.size() * sizeof(sim::Tick);
-        sh.patterns.emplace(offsets, std::move(p));
+        sh.patterns.findOrInsert(offsets.data(), hash) = std::move(p);
     }
 
     /** Cap on recorded variants per family key: enough for the
@@ -436,9 +620,10 @@ class BurstPatternCache
      */
     void
     storeParam(ShapeInfo &sh, const std::vector<sim::Tick> &key,
-               ParamPattern &&p)
+               std::uint64_t hash, ParamPattern &&p)
     {
-        ParamFamily &fam = sh.paramPatterns[key];
+        assert(key.size() == sh.paramPatterns.stride());
+        ParamFamily &fam = sh.paramPatterns.findOrInsert(key.data(), hash);
         const std::size_t bytes =
             sizeof(ParamPattern) +
             p.pat.servers.size() * sizeof(PatternServer) +
@@ -493,10 +678,11 @@ class BurstPatternCache
                        std::vector<sim::Tick> *first_arrival =
                            nullptr) const;
 
+    /** The sighting-table key of a shape's key hashing to @p hash. */
     static std::uint64_t
-    sightingKey(const ShapeInfo &sh, const std::vector<sim::Tick> &offsets)
+    sightingKey(const ShapeInfo &sh, std::uint64_t hash)
     {
-        std::uint64_t h = OffsetVecHash{}(offsets);
+        std::uint64_t h = hash;
         h ^= (static_cast<std::uint64_t>(sh.firstModule) << 33) |
              (static_cast<std::uint64_t>(sh.words) << 1) |
              (sh.isRmw ? 1u : 0u);
@@ -505,7 +691,7 @@ class BurstPatternCache
 
     mem::AddressMap map_;
     std::unordered_map<std::uint64_t, ShapeInfo> shapes_;
-    std::unordered_map<std::uint64_t, std::uint32_t> sightings_;
+    SightingTable sightings_;
     std::uint64_t patternsBuilt_ = 0;
     std::size_t patternBytes_ = 0;
 };

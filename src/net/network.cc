@@ -383,7 +383,7 @@ Network::slowBurstEligible(sim::Tick start, sim::ClusterId cluster,
                 if (shp->bankCount[b] != 0 && cmin[b] > 0)
                     ++non_rigid;
             storeAsParam = cache_.wouldAcceptParam(*shp, paramScratch_,
-                                                   non_rigid);
+                                                   paramHash_, non_rigid);
         }
         if (storeAsParam) {
             ParamPattern pp;
@@ -393,9 +393,10 @@ Network::slowBurstEligible(sim::Tick start, sim::ClusterId cluster,
             pp.nonRigid = non_rigid;
             pp.base = paramBase_;
             pp.cmin = cmin;
-            cache_.storeParam(*miss.sh, paramScratch_, std::move(pp));
+            cache_.storeParam(*miss.sh, paramScratch_, paramHash_,
+                              std::move(pp));
         } else if (miss.exactRecord) {
-            cache_.store(*miss.sh, offsetScratch_,
+            cache_.store(*miss.sh, offsetScratch_, offsetHash_,
                          diffPattern(miss, start, complete - start,
                                      last_len));
         }
@@ -431,15 +432,7 @@ Network::diffPattern(const FastMissCtx &miss, sim::Tick start,
     // Condense the captured per-serve waits by (class, value). The
     // list order is irrelevant for bit-identity: histogram bucket
     // counts and per-class wait sums are commutative.
-    std::sort(waitScratch_.begin(), waitScratch_.end());
-    for (std::size_t i = 0; i < waitScratch_.size();) {
-        std::size_t k = i + 1;
-        while (k < waitScratch_.size() && waitScratch_[k] == waitScratch_[i])
-            ++k;
-        p.waits.push_back(PatternWaits{waitScratch_[i].first,
-                                       waitScratch_[i].second, k - i});
-        i = k;
-    }
+    waitCondenser_.condense(waitScratch_, p.waits);
     return p;
 }
 
@@ -489,18 +482,22 @@ const std::vector<sim::FifoServer *> &
 Network::resolvedServers(ShapeInfo &sh, sim::ClusterId cluster,
                          int ce_port)
 {
-    const std::uint32_t key =
-        (static_cast<std::uint32_t>(cluster) << 16) |
-        static_cast<std::uint32_t>(ce_port);
-    auto it = sh.resolved.find(key);
-    if (it == sh.resolved.end()) {
-        std::vector<sim::FifoServer *> v;
+    // An out-of-range port fails here exactly as on the slow path: in
+    // the returnB crossbar's bounds-checked port lookup.
+    if (ce_port < 0 || static_cast<unsigned>(ce_port) >= cesPerCluster_)
+        returnB_[cluster].port(static_cast<unsigned>(ce_port));
+    if (sh.resolved.empty())
+        sh.resolved.resize(static_cast<std::size_t>(nClusters_) *
+                           cesPerCluster_);
+    auto &v = sh.resolved[static_cast<std::size_t>(cluster) *
+                              cesPerCluster_ +
+                          static_cast<unsigned>(ce_port)];
+    if (v.empty() && !sh.servers.empty()) {
         v.reserve(sh.servers.size());
         for (const ServerRef &r : sh.servers)
             v.push_back(&fastServer(r.bank, r.idx, cluster, ce_port));
-        it = sh.resolved.emplace(key, std::move(v)).first;
     }
-    return it->second;
+    return v;
 }
 
 bool
@@ -527,15 +524,20 @@ Network::fastReplay(sim::Tick start, sim::ClusterId cluster, int ce_port,
     // clears long before this access's words come back — and they
     // all collapse onto one canonical pattern, bit-identically.
     offsetScratch_.clear();
+    std::uint64_t h = fnv_basis;
+    sim::Tick max_off = 0;
     for (std::size_t j = 0; j < srvs.size(); ++j) {
         const sim::Tick f = srvs[j]->freeAt();
         sim::Tick off = f > start ? f - start : 0;
         if (off <= sh.firstArrival[j])
             off = 0;
         offsetScratch_.push_back(off);
+        h = fnvStep(h, off);
+        max_off = std::max(max_off, off);
     }
+    offsetHash_ = h;
 
-    if (const BurstPattern *p = cache_.find(sh, offsetScratch_)) {
+    if (const BurstPattern *p = cache_.find(sh, offsetScratch_, h)) {
         // Near the tick ceiling the slow path's overflow throw
         // applies. (The pattern exists, so no re-recording.)
         if (p->relComplete > sim::max_tick - start) {
@@ -572,6 +574,7 @@ Network::fastReplay(sim::Tick start, sim::ClusterId cluster, int ce_port,
     bool paramCandidate = false;
     if (!is_rmw) {
         paramScratch_.clear();
+        std::uint64_t ph = fnv_basis;
         std::uint8_t mask = 0;
         for (unsigned b = 0; b < fast_bank_count; ++b) {
             const std::uint32_t begin = sh.bankBegin[b];
@@ -600,21 +603,27 @@ Network::fastReplay(sim::Tick start, sim::ClusterId cluster, int ce_port,
             if (shiftable) {
                 mask |= static_cast<std::uint8_t>(1u << b);
                 paramBase_[b] = mn;
-                for (std::uint32_t k = 0; k < n; ++k)
-                    paramScratch_.push_back(offsetScratch_[begin + k] -
-                                            mn);
+                for (std::uint32_t k = 0; k < n; ++k) {
+                    const sim::Tick e = offsetScratch_[begin + k] - mn;
+                    paramScratch_.push_back(e);
+                    ph = fnvStep(ph, e);
+                }
             } else {
                 paramBase_[b] = 0;
-                for (std::uint32_t k = 0; k < n; ++k)
-                    paramScratch_.push_back(offsetScratch_[begin + k]);
+                for (std::uint32_t k = 0; k < n; ++k) {
+                    const sim::Tick e = offsetScratch_[begin + k];
+                    paramScratch_.push_back(e);
+                    ph = fnvStep(ph, e);
+                }
             }
         }
         paramScratch_.push_back(mask);
+        paramHash_ = fnvStep(ph, mask);
         miss.paramMask = mask;
         paramCandidate = mask != 0;
         if (paramCandidate) {
             if (const ParamFamily *fam =
-                    cache_.findParam(sh, paramScratch_)) {
+                    cache_.findParam(sh, paramScratch_, paramHash_)) {
                 for (const ParamPattern &pp : *fam)
                     if (applyParam(pp, paramBase_, start, sh, srvs,
                                    rel_complete, last_len))
@@ -623,17 +632,11 @@ Network::fastReplay(sim::Tick start, sim::ClusterId cluster, int ce_port,
         }
     }
 
-    miss.exactRecord = cache_.shouldRecord(sh, offsetScratch_);
-    if (paramCandidate) {
-        bool in_range = true;
-        for (const sim::Tick o : offsetScratch_)
-            if (o >= BurstPatternCache::max_offset) {
-                in_range = false;
-                break;
-            }
-        miss.paramRecord =
-            in_range && cache_.shouldRecordParam(sh, paramScratch_);
-    }
+    miss.exactRecord = cache_.shouldRecord(sh, offsetScratch_, h);
+    if (paramCandidate)
+        miss.paramRecord = max_off < BurstPatternCache::max_offset &&
+                           cache_.shouldRecordParam(sh, paramScratch_,
+                                                    paramHash_);
     miss.record = miss.exactRecord || miss.paramRecord;
     return false;
 }
@@ -786,7 +789,7 @@ Network::rmw(sim::Tick when, sim::ClusterId cluster, int ce_port,
                 snapScratch_[j][1];
             waitScratch_.emplace_back(classOfBank(sh.servers[j].bank), w);
         }
-        cache_.store(*miss.sh, offsetScratch_,
+        cache_.store(*miss.sh, offsetScratch_, offsetHash_,
                      diffPattern(miss, when, res.complete - when, 1));
     }
     return res;

@@ -278,10 +278,12 @@ class Network
     /** Gather the touched servers' relative free-horizon offsets,
      *  look up the matching pattern, and apply it: batched server
      *  statistics, batched telemetry, and the returned timing are
-     *  bit-identical to the slow path. nullptr means "take the slow
-     *  path" (no pattern yet, store capped, an offset out of range,
-     *  or too close to the tick ceiling); @p miss then carries what
-     *  the slow path needs to record the run as a new pattern. */
+     *  bit-identical to the slow path. Each key (the canonical offset
+     *  vector, the family key) is hashed once, as it is gathered.
+     *  Returns false for "take the slow path" (no pattern yet, store
+     *  capped, an offset out of range, or too close to the tick
+     *  ceiling); @p miss then carries what the slow path needs to
+     *  record the run as a new pattern. */
     bool fastReplay(sim::Tick start, sim::ClusterId cluster, int ce_port,
                     unsigned first_module, unsigned words, bool is_rmw,
                     FastMissCtx &miss, sim::Tick &rel_complete,
@@ -322,19 +324,25 @@ class Network
     /** Condense a just-executed recorded run into a BurstPattern:
      *  per-server stats deltas against snapScratch_, plus the
      *  (class, wait) pairs captured in waitScratch_ aggregated by
-     *  equal value. */
+     *  equal value (waitCondenser_, no sort). */
     BurstPattern diffPattern(const FastMissCtx &miss, sim::Tick start,
                              sim::Tick rel_complete, unsigned last_len);
 
     /** Reused offset-gather buffer (single-threaded per Machine). */
     std::vector<sim::Tick> offsetScratch_;
+    /** fnvHash(offsetScratch_), built during the gather. */
+    std::uint64_t offsetHash_ = 0;
     /** Reused per-serve (class, wait) capture for pattern recording. */
-    std::vector<std::pair<obs::ResourceClass, sim::Tick>> waitScratch_;
+    std::vector<WaitCondenser::Sample> waitScratch_;
+    /** Condenses waitScratch_ into a pattern's waits. */
+    WaitCondenser waitCondenser_;
     /** Reused pre-run stats snapshot for pattern recording: per
      *  touched server, (requests, waitTicks, busyTicks). */
     std::vector<std::array<std::uint64_t, 3>> snapScratch_;
     /** Reused family-key buffer (base-subtracted offsets + mask). */
     std::vector<sim::Tick> paramScratch_;
+    /** fnvHash(paramScratch_), mask element included. */
+    std::uint64_t paramHash_ = 0;
     /** Gather-time per-bank bases of the candidate family key. */
     std::array<sim::Tick, fast_bank_count> paramBase_{};
     /** Reused per-server first-serve marks while recording. */

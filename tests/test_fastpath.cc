@@ -13,8 +13,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/perfect.hh"
@@ -24,6 +27,7 @@
 #include "hw/config.hh"
 #include "mem/address_map.hh"
 #include "mem/global_memory.hh"
+#include "net/fastpath.hh"
 #include "net/network.hh"
 #include "sim/types.hh"
 
@@ -179,25 +183,63 @@ TEST(FastPathIdentity, Arc2dConvoyGeometries)
     }
 }
 
+/** A non-paper machine shape with the default 4-module groups. */
+hw::CedarConfig
+offGrid(unsigned clusters, unsigned ces, unsigned modules)
+{
+    hw::CedarConfig cfg;
+    cfg.nClusters = clusters;
+    cfg.cesPerCluster = ces;
+    cfg.nModules = modules;
+    return cfg;
+}
+
+/** Fast == slow on one off-grid point, with patterns learned and
+ *  replayed there (an identity that never engages proves nothing). */
+void
+expectOffGridIdentity(const char *app_name, const hw::CedarConfig &cfg,
+                      double scale)
+{
+    SCOPED_TRACE(std::string(app_name) + " on " + cfg.label() + ", " +
+                 std::to_string(cfg.nModules) + " modules");
+    ASSERT_NO_THROW(cfg.validate());
+    const auto app = apps::perfectAppByName(app_name);
+    core::RunOptions o;
+    o.scale = scale;
+    o.fastPath = true;
+    const auto fast = core::runExperiment(app, cfg, o);
+    o.fastPath = false;
+    const auto slow = core::runExperiment(app, cfg, o);
+    EXPECT_GT(fast.fastPathPatterns, 0u);
+    EXPECT_GT(fast.fastPathHits, 0u);
+    EXPECT_EQ(slow.fastPathHits, 0u);
+    expectBitIdentical(fast, slow);
+}
+
 TEST(FastPathIdentity, NonPaperTwoByFourGeometry)
 {
     // 2 clusters x 4 CEs is not a paper point; the pattern machinery
     // must be geometry-agnostic, not tuned to the five published
     // configurations.
-    hw::CedarConfig cfg;
-    cfg.nClusters = 2;
-    cfg.cesPerCluster = 4;
-    ASSERT_NO_THROW(cfg.validate());
+    expectOffGridIdentity("FLO52", offGrid(2, 4, 32), 0.04);
+}
 
-    const auto app = apps::perfectAppByName("FLO52");
-    core::RunOptions o;
-    o.scale = 0.04;
-    o.fastPath = true;
-    const auto fast = core::runExperiment(app, cfg, o);
-    o.fastPath = false;
-    const auto slow = core::runExperiment(app, cfg, o);
-    EXPECT_GT(fast.fastPathHits, 0u);
-    expectBitIdentical(fast, slow);
+TEST(FastPathIdentity, OffGridEightByFourSixtyFourModules)
+{
+    // 32 CEs as 8 clusters of 4 in front of twice the paper's memory:
+    // 16 stage-2 groups, so shapes touch more (and wider) banks.
+    const auto cfg = offGrid(8, 4, 64);
+    expectOffGridIdentity("FLO52", cfg, 0.03);
+    expectOffGridIdentity("ARC2D", cfg, 0.02);
+}
+
+TEST(FastPathIdentity, OffGridOneBySixteen)
+{
+    // 16 CEs in one cluster: every access shares one stage-1
+    // crossbar and one returnB crossbar.
+    const auto cfg = offGrid(1, 16, 32);
+    expectOffGridIdentity("FLO52", cfg, 0.03);
+    expectOffGridIdentity("ARC2D", cfg, 0.02);
 }
 
 TEST(FastPathIdentity, TimelineMatchesEventForEvent)
@@ -423,6 +465,241 @@ TEST(FastPathNetwork, DisabledPathReportsOnlyMisses)
         t.fast.burst(0, 0, 0, 0, 16);
     EXPECT_EQ(t.fast.fastStats().hits(), 0u);
     EXPECT_EQ(t.fast.fastStats().misses(), 8u);
+}
+
+// ---------------------------------------------------------------
+// The pattern store's flat tables and the wait condensation
+// ---------------------------------------------------------------
+
+/** A recognisable pattern: relComplete tags which store call made it. */
+net::BurstPattern
+taggedPattern(const net::ShapeInfo &sh, Tick tag)
+{
+    net::BurstPattern p;
+    p.relComplete = tag;
+    p.servers.resize(sh.servers.size());
+    return p;
+}
+
+TEST(FastPathStore, ForgedHashCollisionNeverReturnsTheOtherPattern)
+{
+    mem::AddressMap map{32, 4};
+    net::BurstPatternCache cache(map);
+    net::ShapeInfo &sh = cache.shape(0, 32, false);
+    const std::size_t n = sh.servers.size();
+    ASSERT_GT(n, 1u);
+
+    // Three distinct canonical vectors, all given the same hash.
+    constexpr std::uint64_t forged = 0x1234;
+    std::vector<Tick> a(n, 0), b(n, 0), c(n, 0);
+    a[0] = 5;
+    b[1] = 5;
+    c[0] = 7;
+    cache.store(sh, a, forged, taggedPattern(sh, 111));
+    EXPECT_EQ(cache.find(sh, b, forged), nullptr);
+    cache.store(sh, b, forged, taggedPattern(sh, 222));
+
+    ASSERT_NE(cache.find(sh, a, forged), nullptr);
+    ASSERT_NE(cache.find(sh, b, forged), nullptr);
+    EXPECT_EQ(cache.find(sh, a, forged)->relComplete, 111u);
+    EXPECT_EQ(cache.find(sh, b, forged)->relComplete, 222u);
+    EXPECT_EQ(cache.find(sh, c, forged), nullptr);
+    // The true hash of a key that was filed under a forged one finds
+    // nothing: lookups trust the caller's single hash.
+    EXPECT_EQ(cache.find(sh, a, net::fnvHash(a)), nullptr);
+    EXPECT_EQ(cache.patternsBuilt(), 2u);
+
+    // Family keys (one element longer: the mask) behave the same.
+    std::vector<Tick> ka(n + 1, 0), kb(n + 1, 0);
+    ka[n] = 1;
+    kb[n] = 2;
+    net::ParamPattern pa, pb;
+    pa.pat = taggedPattern(sh, 333);
+    pb.pat = taggedPattern(sh, 444);
+    cache.storeParam(sh, ka, forged, std::move(pa));
+    cache.storeParam(sh, kb, forged, std::move(pb));
+    const net::ParamFamily *fa = cache.findParam(sh, ka, forged);
+    const net::ParamFamily *fb = cache.findParam(sh, kb, forged);
+    ASSERT_NE(fa, nullptr);
+    ASSERT_NE(fb, nullptr);
+    ASSERT_EQ(fa->size(), 1u);
+    ASSERT_EQ(fb->size(), 1u);
+    EXPECT_EQ(fa->front().pat.relComplete, 333u);
+    EXPECT_EQ(fb->front().pat.relComplete, 444u);
+}
+
+TEST(FastPathStore, TableCollisionsSurviveGrowth)
+{
+    // Many keys under a handful of hashes: long probe chains that
+    // every doubling has to rebuild without losing or mixing entries.
+    net::FlatKeyTable<int> t(3);
+    for (int i = 0; i < 2000; ++i) {
+        const Tick key[3] = {Tick(i), Tick(i) * 7, 1};
+        t.findOrInsert(key, static_cast<std::uint64_t>(i % 5)) = i;
+    }
+    EXPECT_EQ(t.size(), 2000u);
+    for (int i = 0; i < 2000; ++i) {
+        const Tick key[3] = {Tick(i), Tick(i) * 7, 1};
+        const int *v = t.find(key, static_cast<std::uint64_t>(i % 5));
+        ASSERT_NE(v, nullptr) << i;
+        EXPECT_EQ(*v, i);
+        EXPECT_EQ(t.find(key, static_cast<std::uint64_t>(i % 5 + 1)),
+                  nullptr);
+        // Re-inserting finds the entry instead of duplicating it.
+        EXPECT_EQ(t.findOrInsert(key, static_cast<std::uint64_t>(i % 5)),
+                  i);
+    }
+    EXPECT_EQ(t.size(), 2000u);
+}
+
+/** The multiplicative inverse of an odd 64-bit constant (Newton). */
+std::uint64_t
+inverseOdd(std::uint64_t a)
+{
+    std::uint64_t x = a;
+    for (int i = 0; i < 6; ++i)
+        x *= 2 - a * x;
+    return x;
+}
+
+TEST(FastPathStore, ProbeChainCollisionsKeepSeparateSightings)
+{
+    // Keys whose mixed hashes differ only in the lowest bit share a
+    // home slot at every table size: one probe chain.
+    const std::uint64_t inv = inverseOdd(0x9e3779b97f4a7c15ULL);
+    std::vector<std::uint64_t> keys;
+    for (std::uint64_t i = 0; i < 8; ++i)
+        keys.push_back((0xabcdef0000000000ULL + i) * inv);
+    for (unsigned bits = 1; bits <= 20; ++bits)
+        for (const std::uint64_t k : keys)
+            ASSERT_EQ(net::flatHome(k, bits), net::flatHome(keys[0], bits));
+
+    net::SightingTable t;
+    for (std::size_t i = 0; i < keys.size(); ++i)
+        for (std::size_t r = 0; r <= i; ++r)
+            EXPECT_EQ(t.bump(keys[i]), r + 1);
+    for (std::size_t i = 0; i < keys.size(); ++i)
+        EXPECT_EQ(t.count(keys[i]), i + 1);
+    EXPECT_EQ(t.size(), keys.size());
+    EXPECT_EQ(t.count(keys.back() + inv), 0u);
+}
+
+TEST(FastPathStore, SightingGrowthKeepsSecondSightingSemantics)
+{
+    // First sightings of many keys force repeated doublings; every
+    // key must still be at exactly one sighting afterwards, so its
+    // next bump is its second — the recording trigger.
+    net::SightingTable t;
+    constexpr std::uint64_t n = 50'000;
+    for (std::uint64_t i = 0; i < n; ++i)
+        ASSERT_EQ(t.bump(i * 0x100000001ULL), 1u) << i;
+    EXPECT_EQ(t.size(), n);
+    for (std::uint64_t i = 0; i < n; ++i)
+        ASSERT_EQ(t.bump(i * 0x100000001ULL), 2u) << i;
+    EXPECT_EQ(t.size(), n);
+
+    // Through the cache: a vector earns recording on its second
+    // sighting, however many other vectors were sighted in between.
+    mem::AddressMap map{32, 4};
+    net::BurstPatternCache cache(map);
+    const net::ShapeInfo &sh = cache.shape(4, 16, false);
+    std::vector<Tick> v(sh.servers.size(), 0);
+    v[0] = 99;
+    EXPECT_FALSE(cache.shouldRecord(sh, v, net::fnvHash(v)));
+    for (Tick i = 0; i < 5000; ++i) {
+        std::vector<Tick> w(sh.servers.size(), i + 1000);
+        EXPECT_FALSE(cache.shouldRecord(sh, w, net::fnvHash(w)));
+    }
+    EXPECT_TRUE(cache.shouldRecord(sh, v, net::fnvHash(v)));
+}
+
+/** Reference condensation: sort, then run-length encode equal
+ *  (class, wait) pairs. */
+std::vector<net::PatternWaits>
+sortReference(std::vector<net::WaitCondenser::Sample> samples)
+{
+    std::sort(samples.begin(), samples.end());
+    std::vector<net::PatternWaits> out;
+    for (std::size_t i = 0; i < samples.size();) {
+        std::size_t k = i + 1;
+        while (k < samples.size() && samples[k] == samples[i])
+            ++k;
+        out.push_back(
+            net::PatternWaits{samples[i].first, samples[i].second, k - i});
+        i = k;
+    }
+    return out;
+}
+
+/** Condense @p samples with @p condenser and compare the result, as
+ *  a multiset, with the sort reference. */
+void
+expectCondensesLikeReference(
+    net::WaitCondenser &condenser,
+    const std::vector<net::WaitCondenser::Sample> &samples)
+{
+    std::vector<net::PatternWaits> got;
+    condenser.condense(samples, got);
+    std::sort(got.begin(), got.end(),
+              [](const net::PatternWaits &x, const net::PatternWaits &y) {
+                  return std::pair(x.cls, x.wait) < std::pair(y.cls, y.wait);
+              });
+    const auto want = sortReference(samples);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(got[i].cls, want[i].cls);
+        ASSERT_EQ(got[i].wait, want[i].wait);
+        ASSERT_EQ(got[i].count, want[i].count);
+    }
+}
+
+TEST(FastPathStore, CondensationMatchesSortReference)
+{
+    const obs::ResourceClass classes[] = {
+        obs::ResourceClass::stage1_port, obs::ResourceClass::stage2_port,
+        obs::ResourceClass::memory_module,
+        obs::ResourceClass::return_a_port,
+        obs::ResourceClass::return_b_port};
+    constexpr Tick near_max = net::BurstPatternCache::max_offset;
+    const Tick edge_waits[] = {0, 1, near_max - 1, near_max, near_max + 1};
+
+    std::mt19937_64 rng(20260417);
+    const auto randomList = [&](std::size_t len, Tick spread) {
+        std::vector<net::WaitCondenser::Sample> samples;
+        for (std::size_t i = 0; i < len; ++i) {
+            const auto cls = classes[rng() % 5];
+            const Tick w = rng() % 4 == 0 ? edge_waits[rng() % 5]
+                                          : rng() % spread;
+            samples.emplace_back(cls, w);
+        }
+        return samples;
+    };
+
+    net::WaitCondenser condenser; // reused: stale slots must not leak
+    std::size_t longest = 0;
+    for (int round = 0; round < 400; ++round) {
+        SCOPED_TRACE("round " + std::to_string(round));
+        // Lengths from empty to far past any earlier table size; the
+        // first rounds are short, so later ones force regrowth.
+        const std::size_t len = round < 10 ? round : rng() % 1500;
+        longest = std::max(longest, len);
+        // Few distinct waits (long runs of repeats), every wait shared
+        // by all five classes, or nearly all waits distinct.
+        const Tick spread = round % 3 == 0   ? 4
+                            : round % 3 == 1 ? len / 5 + 1
+                                             : Tick(1) << 20;
+        expectCondensesLikeReference(condenser, randomList(len, spread));
+    }
+    EXPECT_GT(longest, 1000u);
+
+    // Fresh condensers keep their tables tiny, the only place where
+    // equal waits of different classes share a probe chain: this is
+    // what pins the class half of the key compare.
+    for (int round = 0; round < 3000; ++round) {
+        SCOPED_TRACE("small round " + std::to_string(round));
+        net::WaitCondenser fresh;
+        expectCondensesLikeReference(fresh, randomList(2 + rng() % 14, 3));
+    }
 }
 
 } // namespace
