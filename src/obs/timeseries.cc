@@ -154,7 +154,6 @@ TimeSeriesRecorder::finalize(sim::Tick ct,
         }
         w.fastHits = hi.fastHits - lo.fastHits;
         w.fastMisses = hi.fastMisses - lo.fastMisses;
-        w.crossPosts = hi.crossPosts - lo.crossPosts;
         w.events = hi.events - lo.events;
         if (i < accum_.size()) {
             w.catTicks = accum_[i].cat;
@@ -194,7 +193,6 @@ writeTimeSeriesJson(tools::JsonWriter &j, const TimeSeries &ts)
         j.field("events", w.events);
         j.field("fast_hits", w.fastHits);
         j.field("fast_misses", w.fastMisses);
-        j.field("cross_posts", w.crossPosts);
 
         j.key("class_requests").beginArray();
         for (const auto v : w.classes.requests)

@@ -3,24 +3,23 @@
  * Windowed time-series telemetry (schema "cedar-timeseries-v1").
  *
  * End-of-run aggregates hide the *phases* of a run: burst backlog
- * drains, convoy formation at one memory module, fast-path warm-up,
- * PDES merge stalls. This layer slices simulated time into
- * fixed-width windows (RunOptions::tsWindow / `--ts-window`) and
- * records, per window:
+ * drains, convoy formation at one memory module, fast-path warm-up.
+ * This layer slices simulated time into fixed-width windows
+ * (RunOptions::tsWindow / `--ts-window`) and records, per window:
  *
  *  - per-resource-class request/wait/busy deltas (and the derived
  *    utilization and mean queue depth), sampled by polling the
  *    machine's ServerStats at exact window boundaries;
  *  - per-TimeCat occupancy and per-CE busy ticks, accumulated from
  *    the telemetry bus's span stream (overlap-split across windows);
- *  - analytic fast-path hits/misses, PDES cross-domain posts and
- *    executed events, as boundary-to-boundary deltas.
+ *  - analytic fast-path hits/misses and executed events, as
+ *    boundary-to-boundary deltas.
  *
  * The split matters: the recorder subscribes to *spans only*. A
  * resource_wait or flow subscription would disengage the analytic
  * fast path (net::Network::fastEligible's sole-subscriber gate), so
  * the per-class series comes from the boundary poll instead — the
- * DomainGroup sampling hook (sim/domain.hh) fires a read-only
+ * event queue's sampling hook (sim/event_queue.hh) fires a read-only
  * callback each time simulated time crosses a k*window tick, and
  * core::runExperiment wires it to snapshotCounters(). With the
  * recorder off nothing subscribes and the hook stays disarmed, so
@@ -81,7 +80,6 @@ struct TimeSeriesSnapshot
     ClassTotals classes;
     std::uint64_t fastHits = 0;
     std::uint64_t fastMisses = 0;
-    std::uint64_t crossPosts = 0;
     std::uint64_t events = 0; //!< DES events executed
 };
 
@@ -101,7 +99,6 @@ struct TimeSeriesWindow
 
     std::uint64_t fastHits = 0;
     std::uint64_t fastMisses = 0;
-    std::uint64_t crossPosts = 0;
     std::uint64_t events = 0;
 
     sim::Tick width() const { return end - start; }
@@ -127,7 +124,7 @@ void writeTimeSeriesJson(tools::JsonWriter &j, const TimeSeries &ts);
 /**
  * The recording sink. Subscribes to span events for the scope of a
  * run (TimelineRecorder-style RAII) and absorbs boundary snapshots
- * from the DomainGroup sampling hook; finalize() folds both into
+ * from the event queue's sampling hook; finalize() folds both into
  * the per-window delta series.
  */
 class TimeSeriesRecorder : public TelemetrySink

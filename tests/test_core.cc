@@ -9,6 +9,7 @@
 
 #include <sstream>
 
+#include "apps/perfect.hh"
 #include "core/breakdown.hh"
 #include "core/concurrency.hh"
 #include "core/contention.hh"
@@ -382,6 +383,26 @@ TEST(ParallelSweep, ExceptionsPropagateFromWorkers)
     o.scale = 0.25;
     EXPECT_THROW(core::runSweep(testApp(), o, {1, 3, 4, 8}, 4),
                  std::invalid_argument);
+}
+
+TEST(ParallelSweep, ReplicaEnsembleBitIdentical)
+{
+    // Identical multi-cluster machines run concurrently (what the
+    // bench ensemble leg times): every replica, on 1 or 4 workers,
+    // must equal a lone run of the same point.
+    const auto app = apps::perfectAppByName("ADM");
+    const auto cfg = hw::CedarConfig::withProcs(32);
+    core::RunOptions o;
+    o.scale = 0.05;
+    const auto ref = core::runExperiment(app, cfg, o);
+    for (const unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        const auto rs = core::runSweep(
+            app, o, std::vector<hw::CedarConfig>(4, cfg), jobs);
+        ASSERT_EQ(rs.size(), 4u);
+        for (const auto &r : rs)
+            expectRunResultsIdentical(ref, r);
+    }
 }
 
 TEST(TableFormat, RendersAlignedColumns)

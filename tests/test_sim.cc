@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <limits>
 #include <vector>
 
@@ -330,6 +332,159 @@ TEST(EventQueue, ResetClearsStateAndTime)
     EXPECT_EQ(eq.now(), 0u);
     EXPECT_TRUE(eq.empty());
     EXPECT_EQ(eq.executed(), 0u);
+}
+
+// ----- the read-only window-boundary sampling hook -----
+
+/** Records every hook call: the boundary, and now()/executed() as
+ *  the hook saw them. */
+struct HookLog
+{
+    std::vector<Tick> boundaries;
+    std::vector<Tick> nows;
+    std::vector<std::uint64_t> executed;
+
+    std::function<void(Tick)>
+    hook(const EventQueue &eq)
+    {
+        return [this, &eq](Tick b) {
+            boundaries.push_back(b);
+            nows.push_back(eq.now());
+            executed.push_back(eq.executed());
+        };
+    }
+};
+
+TEST(EventQueueSampleHook, BoundariesAlignToAbsoluteTime)
+{
+    EventQueue eq;
+    HookLog log;
+    eq.setSampleHook(100, log.hook(eq));
+    for (const Tick t : {Tick(50), Tick(150), Tick(250), Tick(399)})
+        eq.schedule(t, [] {});
+    EXPECT_TRUE(eq.run());
+    EXPECT_EQ(log.boundaries, (std::vector<Tick>{100, 200, 300}));
+}
+
+TEST(EventQueueSampleHook, ArmedMidRunStaysAligned)
+{
+    EventQueue eq;
+    eq.schedule(130, [] {});
+    eq.run();
+    ASSERT_EQ(eq.now(), 130u);
+    // The first boundary is the next multiple of the window after
+    // now(), not now() + window.
+    HookLog log;
+    eq.setSampleHook(100, log.hook(eq));
+    eq.schedule(210, [] {});
+    eq.schedule(450, [] {});
+    eq.run();
+    EXPECT_EQ(log.boundaries, (std::vector<Tick>{200, 300, 400}));
+
+    // Re-arming exactly on a boundary skips it: the next one is
+    // strictly after now().
+    EventQueue at;
+    at.schedule(200, [] {});
+    at.run();
+    HookLog log2;
+    at.setSampleHook(100, log2.hook(at));
+    at.schedule(200, [] {});
+    at.schedule(300, [] {});
+    at.run();
+    EXPECT_EQ(log2.boundaries, (std::vector<Tick>{300}));
+}
+
+TEST(EventQueueSampleHook, MultiWindowJumpFiresOncePerBoundary)
+{
+    EventQueue eq;
+    HookLog log;
+    eq.setSampleHook(10, log.hook(eq));
+    eq.schedule(55, [] {});
+    eq.run();
+    EXPECT_EQ(log.boundaries,
+              (std::vector<Tick>{10, 20, 30, 40, 50}));
+    // Every skipped boundary is reported from the jumping event's
+    // tick, before that event runs.
+    EXPECT_EQ(log.nows, std::vector<Tick>(5, 55));
+    EXPECT_EQ(log.executed, std::vector<std::uint64_t>(5, 0));
+    EXPECT_EQ(eq.executed(), 1u);
+}
+
+TEST(EventQueueSampleHook, SeesOnlyStrictlyEarlierEvents)
+{
+    EventQueue eq;
+    HookLog log;
+    eq.setSampleHook(100, log.hook(eq));
+    int ran = 0;
+    for (const Tick t :
+         {Tick(10), Tick(99), Tick(100), Tick(100), Tick(150)})
+        eq.schedule(t, [&ran] { ++ran; });
+    eq.run();
+    ASSERT_EQ(log.boundaries, (std::vector<Tick>{100}));
+    // The two events at the boundary tick run after the hook, with
+    // now() already at their tick.
+    EXPECT_EQ(log.executed, (std::vector<std::uint64_t>{2}));
+    EXPECT_EQ(log.nows, (std::vector<Tick>{100}));
+    EXPECT_EQ(ran, 5);
+}
+
+TEST(EventQueueSampleHook, WindowZeroDisarms)
+{
+    EventQueue eq;
+    HookLog log;
+    eq.setSampleHook(100, log.hook(eq));
+    eq.schedule(150, [] {});
+    eq.run();
+    ASSERT_EQ(log.boundaries.size(), 1u);
+    eq.setSampleHook(0, log.hook(eq));
+    eq.schedule(1000, [] {});
+    eq.run();
+    EXPECT_EQ(log.boundaries.size(), 1u);
+    // Reset keeps a disarmed hook disarmed.
+    eq.reset();
+    eq.schedule(500, [] {});
+    eq.run();
+    EXPECT_EQ(log.boundaries.size(), 1u);
+}
+
+TEST(EventQueueSampleHook, NearMaxTickEndsFiringWithoutOverflow)
+{
+    constexpr Tick W = 1000;
+    EventQueue eq;
+    eq.schedule(max_tick - 2500, [] {});
+    eq.run();
+    HookLog log;
+    eq.setSampleHook(W, log.hook(eq));
+    eq.schedule(max_tick - 1, [] {});
+    eq.run();
+    // Exactly the multiples of W in (max_tick - 2500, max_tick - 1],
+    // ascending: the next boundary saturates instead of wrapping to a
+    // small tick that would fire on every later event.
+    const Tick first = (max_tick - 2500) / W * W + W;
+    std::vector<Tick> expect;
+    for (Tick b = first; b <= max_tick - 1 && b >= first; b += W)
+        expect.push_back(b);
+    ASSERT_FALSE(expect.empty());
+    EXPECT_EQ(log.boundaries, expect);
+    eq.schedule(max_tick - 1, [] {});
+    eq.run();
+    EXPECT_EQ(log.boundaries, expect);
+}
+
+TEST(EventQueueSampleHook, ResetRearmsAlignedToZero)
+{
+    EventQueue eq;
+    HookLog log;
+    eq.setSampleHook(100, log.hook(eq));
+    eq.schedule(250, [] {});
+    eq.run();
+    ASSERT_EQ(log.boundaries, (std::vector<Tick>{100, 200}));
+    eq.reset();
+    log.boundaries.clear();
+    eq.schedule(50, [] {});
+    eq.schedule(150, [] {});
+    eq.run();
+    EXPECT_EQ(log.boundaries, (std::vector<Tick>{100}));
 }
 
 TEST(Random, DeterministicForSameSeed)

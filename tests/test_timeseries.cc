@@ -9,8 +9,8 @@
  *    every published field (the sampling hook is read-only and the
  *    recorder subscribes to spans only), at all five paper points;
  *  - the per-window series *conserves*: per-class deltas, fast-path
- *    and PDES deltas, span occupancy and event counts sum exactly to
- *    the end-of-run totals, and windows tile [0, CT] with aligned
+ *    deltas, span occupancy and event counts sum exactly to the
+ *    end-of-run totals, and windows tile [0, CT] with aligned
  *    boundaries;
  *  - Histogram::merge/fromBuckets round-trip the serialized wait
  *    histograms with single-run percentile semantics (including the
@@ -154,7 +154,6 @@ TEST(TimeSeriesRecorder, RecorderOffRunsBitIdenticalAtPaperPoints)
         EXPECT_EQ(off.globalWords, on.globalWords) << procs;
         EXPECT_EQ(off.fastPathHits, on.fastPathHits) << procs;
         EXPECT_EQ(off.fastPathMisses, on.fastPathMisses) << procs;
-        EXPECT_EQ(off.crossDomainPosts, on.crossDomainPosts) << procs;
         EXPECT_EQ(off.seqFaults, on.seqFaults) << procs;
         EXPECT_EQ(off.concFaults, on.concFaults) << procs;
         EXPECT_DOUBLE_EQ(off.machineConcurrency,
@@ -198,14 +197,12 @@ TEST(TimeSeries, DeltasSumToRunTotals)
     const auto &ts = r.timeseries;
     ASSERT_FALSE(ts.empty());
 
-    std::uint64_t events = 0, fastHits = 0, fastMisses = 0,
-                  crossPosts = 0;
+    std::uint64_t events = 0, fastHits = 0, fastMisses = 0;
     obs::ClassTotals classes;
     for (const auto &w : ts.windows) {
         events += w.events;
         fastHits += w.fastHits;
         fastMisses += w.fastMisses;
-        crossPosts += w.crossPosts;
         for (std::size_t c = 0; c < obs::num_resource_classes; ++c) {
             classes.requests[c] += w.classes.requests[c];
             classes.waitTicks[c] += w.classes.waitTicks[c];
@@ -215,7 +212,6 @@ TEST(TimeSeries, DeltasSumToRunTotals)
     EXPECT_EQ(events, r.eventsExecuted);
     EXPECT_EQ(fastHits, r.fastPathHits);
     EXPECT_EQ(fastMisses, r.fastPathMisses);
-    EXPECT_EQ(crossPosts, r.crossDomainPosts);
 
     // Per-class sums must equal the end-of-run metrics document
     // (collected by the identical server walk).

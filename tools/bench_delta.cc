@@ -9,9 +9,10 @@
  *   bench_delta OLD.json NEW.json
  *
  * prints, per app/procs configuration, the events/sec ratio of NEW
- * over OLD, and for every fast-path leg in NEW the fast/slow wall
- * split plus the ratio against OLD's committed sweep throughput of
- * the same configuration.
+ * over OLD; for every fast-path leg in NEW the fast/slow wall split
+ * plus the ratio against OLD's committed sweep throughput of the
+ * same configuration; and the replica-ensemble and time-series legs
+ * next to their baseline counterparts where OLD has them.
  *
  * The report is informational (exit 0 even when slower — the
  * committed file is typically measured at a different scale on a
@@ -188,41 +189,27 @@ main(int argc, char **argv)
             std::cout << "\n";
         }
 
-        // The pdes section arrived with schema v3; baselines and new
-        // runs from before it simply skip this block.
-        if (newDoc.has("pdes")) {
-            std::cout << "pdes legs:\n";
-            for (const auto &leg : newDoc.at("pdes").asArray()) {
+        // The ensemble section arrived with schema v5; an older
+        // baseline has no counterpart, so only the new scaling shows.
+        if (newDoc.has("ensemble")) {
+            std::cout << "ensemble legs:\n";
+            for (const auto &leg : section(newDoc, "ensemble")) {
                 const std::string app = leg.at("app").asString();
                 const double procs = leg.at("procs").asNumber();
-                std::cout << "  " << app << " " << procs << "p:";
-                for (const auto &pt :
-                     leg.at("run_threads").asArray())
-                    std::cout
-                        << "  [rt"
-                        << pt.at("run_threads").asNumber() << " "
-                        << evs(pt.at("events_per_sec").asNumber())
-                        << " ev/s]";
-                std::cout << "  ensemble x"
-                          << leg.at("ensemble_replicas").asNumber()
-                          << " scaling "
-                          << ratio(
-                                 leg.at("ensemble_scaling").asNumber())
+                std::cout << "  " << app << " " << procs << "p x"
+                          << leg.at("replicas").asNumber() << ": "
+                          << evs(leg.at("events_per_sec_4worker")
+                                     .asNumber())
+                          << " ev/s on 4 workers, scaling "
+                          << ratio(leg.at("scaling").asNumber())
                           << (leg.at("guard_enforced").asBool()
                                   ? " (guarded)"
                                   : " (informational)");
-                if (oldDoc.has("pdes"))
-                    for (const auto &old :
-                         oldDoc.at("pdes").asArray())
-                        if (old.at("app").asString() == app &&
-                            old.at("procs").asNumber() == procs) {
-                            const double was =
-                                old.at("ensemble_scaling").asNumber();
-                            if (was > 0)
-                                std::cout
-                                    << ", baseline scaling "
-                                    << ratio(was);
-                        }
+                for (const auto &old : section(oldDoc, "ensemble"))
+                    if (old.at("app").asString() == app &&
+                        old.at("procs").asNumber() == procs)
+                        std::cout << ", baseline scaling "
+                                  << ratio(old.at("scaling").asNumber());
                 std::cout << "\n";
             }
         }

@@ -71,10 +71,12 @@
  */
 
 #include <algorithm>
+#include <charconv>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
@@ -117,13 +119,6 @@ usage()
            "                     [--inject SPEC]... [--gm-timeout N]\n"
            "                     [--gm-retries N] [--gm-backoff N]\n"
            "                     [--watchdog-events N]\n"
-           "                     [--run-threads N] (event domains:\n"
-           "                     1 = single queue; >= 2 = per-cluster\n"
-           "                     PDES partition; results identical)\n"
-           "                     [--pdes-lookahead N] (strict\n"
-           "                     causality check, 0 = off)\n"
-           "                     [--pdes-window N] (merge-window\n"
-           "                     tick cap, 0 = unbounded)\n"
            "                     [--ts-window N] (time-series sampling\n"
            "                     window in ticks, 0 = off; results are\n"
            "                     bit-identical either way)\n"
@@ -187,15 +182,37 @@ parseNumber(const std::string &what, const std::string &tok)
     }
 }
 
+/**
+ * Parse a count: decimal digits only, no sign, exponent, fraction
+ * or hex prefix, and at most 2^64-1. Anything else is an error
+ * naming @p what rather than a silently rounded or wrapped value.
+ */
 std::uint64_t
 parseCount(const std::string &what, const std::string &tok)
 {
-    const double v = parseNumber(what, tok);
-    if (v < 0 ||
-        v != static_cast<double>(static_cast<std::uint64_t>(v)))
+    std::uint64_t v = 0;
+    const char *last = tok.data() + tok.size();
+    const auto [end, ec] = std::from_chars(tok.data(), last, v);
+    if (ec == std::errc::result_out_of_range)
+        throw std::out_of_range(what + ": count out of range: '" + tok +
+                                "'");
+    if (ec != std::errc() || end != last)
         throw std::invalid_argument(what + ": not a whole number: '" +
                                     tok + "'");
-    return static_cast<std::uint64_t>(v);
+    return v;
+}
+
+/** parseCount() narrowed to unsigned, rejecting values that would
+ *  wrap. */
+unsigned
+parseUnsigned(const std::string &what, const std::string &tok)
+{
+    const std::uint64_t v = parseCount(what, tok);
+    if (v > std::numeric_limits<unsigned>::max())
+        throw std::out_of_range(
+            what + ": " + tok + " exceeds " +
+            std::to_string(std::numeric_limits<unsigned>::max()));
+    return static_cast<unsigned>(v);
 }
 
 struct Flags
@@ -254,7 +271,7 @@ parseFlags(const std::vector<std::string> &args, std::size_t from,
         } else if (a == "--scale") {
             f.opts.scale = parseNumber(a, value());
         } else if (a == "--pickup-block") {
-            f.pickupBlock = static_cast<unsigned>(parseCount(a, value()));
+            f.pickupBlock = parseUnsigned(a, value());
         } else if (a == "--inject") {
             f.opts.faults.push_back(fault::parseFaultSpec(value()));
         } else if (a == "--watchdog-events") {
@@ -263,25 +280,17 @@ parseFlags(const std::vector<std::string> &args, std::size_t from,
         } else if (a == "--gm-timeout") {
             f.opts.gmTimeout = parseCount(a, value());
         } else if (a == "--gm-retries") {
-            f.opts.gmMaxRetries =
-                static_cast<unsigned>(parseCount(a, value()));
+            f.opts.gmMaxRetries = parseUnsigned(a, value());
         } else if (a == "--gm-backoff") {
             f.opts.gmRetryBackoff = parseCount(a, value());
-        } else if (a == "--run-threads") {
-            f.opts.runThreads =
-                static_cast<unsigned>(parseCount(a, value()));
-        } else if (a == "--pdes-lookahead") {
-            f.opts.pdesLookahead = parseCount(a, value());
-        } else if (a == "--pdes-window") {
-            f.opts.pdesWindow = parseCount(a, value());
         } else if (a == "--ts-window") {
             f.opts.tsWindow = parseCount(a, value());
         } else if (a == "--baseline") {
             f.baselineDir = value();
         } else if (a == "--jobs") {
-            f.jobs = static_cast<unsigned>(parseCount(a, value()));
+            f.jobs = parseUnsigned(a, value());
         } else if (a == "--top") {
-            f.top = static_cast<unsigned>(parseCount(a, value()));
+            f.top = parseUnsigned(a, value());
         } else if (a == "--json") {
             f.jsonOut = value();
         } else if (a == "--md") {
@@ -291,17 +300,15 @@ parseFlags(const std::vector<std::string> &args, std::size_t from,
         } else if (a == "--cache") {
             f.cacheDir = value();
         } else if (a == "--retries") {
-            f.retries = static_cast<unsigned>(parseCount(a, value()));
+            f.retries = parseUnsigned(a, value());
         } else if (a == "--shard") {
             const std::string &v = value();
             const auto slash = v.find('/');
             if (slash == std::string::npos)
                 throw std::invalid_argument(
                     "--shard: expected i/N, got '" + v + "'");
-            f.shardIndex = static_cast<unsigned>(
-                parseCount(a, v.substr(0, slash)));
-            f.shardCount = static_cast<unsigned>(
-                parseCount(a, v.substr(slash + 1)));
+            f.shardIndex = parseUnsigned(a, v.substr(0, slash));
+            f.shardCount = parseUnsigned(a, v.substr(slash + 1));
         } else if (a == "--resume") {
             f.resume = true;
         } else if (a == "--list") {
@@ -414,7 +421,7 @@ parseInvocation(const std::vector<std::string> &args, std::size_t at,
         return false;
     inv.app = buildApp(args[at], inv.flags);
     inv.cfg = hw::CedarConfig::withProcs(
-        static_cast<unsigned>(parseCount("processor count", args[at + 1])));
+        parseUnsigned("processor count", args[at + 1]));
     return true;
 }
 
@@ -563,8 +570,7 @@ cmdRunFile(const std::vector<std::string> &args)
     if (!parseFlags(args, 4, f))
         return usage();
     const auto app = apps::parseWorkloadFile(args[2]);
-    const unsigned procs =
-        static_cast<unsigned>(parseCount("processor count", args[3]));
+    const unsigned procs = parseUnsigned("processor count", args[3]);
     core::RunOptions uniOpts = f.opts;
     uniOpts.faults.clear();
     const auto uni = core::runExperiment(app, 1, uniOpts);
@@ -668,8 +674,7 @@ cmdFaults(const std::vector<std::string> &args)
     unsigned procs = 8;
     std::size_t flags_from = 3;
     if (args.size() > 3 && args[3][0] != '-') {
-        procs = static_cast<unsigned>(
-            parseCount("processor count", args[3]));
+        procs = parseUnsigned("processor count", args[3]);
         flags_from = 4;
     }
     Flags f;
@@ -1054,8 +1059,7 @@ cmdProfile(const std::vector<std::string> &args)
     if (args.size() < 4)
         return usage();
     const auto app = apps::perfectAppByName(args[2]);
-    const unsigned procs =
-        static_cast<unsigned>(parseCount("processor count", args[3]));
+    const unsigned procs = parseUnsigned("processor count", args[3]);
     core::RunOptions opts;
     opts.collectTrace = true;
     const auto r = core::runExperiment(app, procs, opts);
