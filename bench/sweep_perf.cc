@@ -307,6 +307,7 @@ struct FastPathPerf
     std::uint64_t events = 0;   //!< DES events (identical both legs)
     std::uint64_t fastHits = 0; //!< pattern replays in the fast run
     std::uint64_t fastPatterns = 0; //!< distinct patterns learned
+    std::uint64_t patternBytes = 0; //!< their accounted store bytes
 
     double
     speedup() const
@@ -338,6 +339,7 @@ timeFastPath(const std::string &name, const core::RunOptions &opts,
         f.events = res.eventsExecuted;
         f.fastHits = res.fastPathHits;
         f.fastPatterns = res.fastPathPatterns;
+        f.patternBytes = res.fastPathPatternBytes;
 
         o.fastPath = false;
         t0 = Clock::now();
@@ -604,6 +606,7 @@ writeJson(std::ostream &os, const std::vector<AppPerf> &apps,
                     : 0.0);
         j.field("fast_hits", f.fastHits);
         j.field("fast_patterns", f.fastPatterns);
+        j.field("pattern_bytes", f.patternBytes);
         j.field("guarded", f.guarded);
         j.field("guard_min_speedup", fast_path_guard_min_speedup);
         j.field("guard_ok",
@@ -812,7 +815,8 @@ main(int argc, char **argv)
                       << "p): fast " << fp.fastWallSec << " s, slow "
                       << fp.slowWallSec << " s (" << fp.speedup()
                       << "x, " << fp.fastHits << " hits, "
-                      << fp.fastPatterns << " patterns)\n";
+                      << fp.fastPatterns << " patterns, "
+                      << fp.patternBytes << " pattern bytes)\n";
         const AllocPerf allocs = timeAllocs(opts, repeat);
         std::cout << "allocs (" << allocs.app << " " << allocs.procs
                   << "p): cold " << allocs.coldHeapAllocs

@@ -144,6 +144,7 @@ runExperiment(const apps::AppModel &app, const hw::CedarConfig &base,
     r.fastPathHits = m.net().fastStats().hits();
     r.fastPathMisses = m.net().fastStats().misses();
     r.fastPathPatterns = m.net().fastPatterns();
+    r.fastPathPatternBytes = m.net().fastPatternBytes();
 
     if (opts.collectTrace)
         r.trace = m.trace().records();

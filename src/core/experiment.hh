@@ -90,6 +90,8 @@ struct RunResult
     std::uint64_t fastPathMisses = 0;
     /** Distinct (shape, offset-vector) patterns learned. */
     std::uint64_t fastPathPatterns = 0;
+    /** Accounted bytes of those patterns at the end of the run. */
+    std::uint64_t fastPathPatternBytes = 0;
 
     /** The cedarhpm trace (empty when tracing disabled). */
     std::vector<hpm::Record> trace;

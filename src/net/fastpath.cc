@@ -116,7 +116,7 @@ WaitCondenser::condense(const std::vector<Sample> &samples,
             if (s.gen != gen_) {
                 s.gen = gen_;
                 s.entry = static_cast<std::uint32_t>(out.size());
-                out.push_back(PatternWaits{cls, wait, 1});
+                out.push_back(PatternWaits{wait, 1, cls});
                 break;
             }
             PatternWaits &w = out[s.entry];
@@ -129,55 +129,28 @@ WaitCondenser::condense(const std::vector<Sample> &samples,
 }
 
 /**
- * Replay the exact slow-path serve sequence of one access shape on
- * scratch servers at start = 0, optionally pre-loading each touched
- * server's free horizon with its relative offset, and condense the
- * outcome. The arithmetic here must mirror
+ * Replay the exact slow-path serve sequence of one access shape on an
+ * idle scratch machine at start = 0 and keep what every offset vector
+ * shares: per touched server the earliest request arrival, the serve
+ * count and the busy ticks. The arithmetic here must mirror
  * Network::forwardPath/returnPath, GlobalMemory::accessChunk/rmw and
  * the burst chunk loop statement for statement — the bit-identity
- * tests hold it to that. Extraction follows sh.servers — the shape's
- * canonical gather order, the same order @p offsets is keyed in.
+ * and shape-constant tests hold it to that.
  */
-BurstPattern
-BurstPatternCache::build(const ShapeInfo &sh,
-                         const std::vector<sim::Tick> *offsets,
-                         std::vector<sim::Tick> *first_arrival) const
+void
+BurstPatternCache::idleProbe(ShapeInfo &sh) const
 {
     constexpr sim::Tick hop = Network::hop_latency;
     const unsigned groups = map_.numGroups();
     const unsigned mods = map_.numModules();
 
     std::vector<sim::FifoServer> scratch(3 * groups + 1 + mods);
+    std::vector<sim::Tick> first_arrival(scratch.size(), sim::max_tick);
 
-    if (offsets != nullptr)
-        for (std::size_t j = 0; j < sh.servers.size(); ++j)
-            scratch[flatIndex(sh.servers[j], groups)].applyBatch(
-                0, 0, 0, (*offsets)[j]);
-
-    if (first_arrival != nullptr)
-        first_arrival->assign(scratch.size(), sim::max_tick);
-
-    BurstPattern p;
-
-    auto addWait = [&p](obs::ResourceClass cls, sim::Tick wait) {
-        for (auto &w : p.waits) {
-            if (w.cls == cls && w.wait == wait) {
-                ++w.count;
-                return;
-            }
-        }
-        p.waits.push_back(PatternWaits{cls, wait, 1});
-    };
-
-    auto serveAt = [&](std::size_t si, obs::ResourceClass cls,
-                       sim::Tick arrival, sim::Tick service) {
-        if (first_arrival != nullptr &&
-            arrival < (*first_arrival)[si])
-            (*first_arrival)[si] = arrival;
-        auto &s = scratch[si];
-        const sim::Tick free = s.freeAt();
-        addWait(cls, free > arrival ? free - arrival : 0);
-        return s.serve(arrival, service);
+    auto serveAt = [&](std::size_t si, sim::Tick arrival,
+                       sim::Tick service) {
+        first_arrival[si] = std::min(first_arrival[si], arrival);
+        return scratch[si].serve(arrival, service);
     };
 
     // A canonical address with the same home module reproduces the
@@ -185,74 +158,49 @@ BurstPatternCache::build(const ShapeInfo &sh,
     // class: chunk boundaries depend on addr % group_size and
     // routing on addr % n_modules, and group_size divides n_modules.
     const sim::Addr addr0 = sh.firstModule;
-    sim::Tick complete = 0;
 
     if (sh.isRmw) {
         const unsigned g = map_.group(addr0);
-        const sim::Tick t1 =
-            serveAt(g, obs::ResourceClass::stage1_port, hop, 1);
-        const sim::Tick t2 = serveAt(
-            groups + g, obs::ResourceClass::stage2_port, t1 + hop, 1);
-        const sim::Tick done = serveAt(
-            3 * groups + 1 + sh.firstModule,
-            obs::ResourceClass::memory_module, t2 + hop,
-            mem::GlobalMemory::rmw_service);
-        const sim::Tick t3 =
-            serveAt(2 * groups + g, obs::ResourceClass::return_a_port,
-                    done + hop, 1);
-        const sim::Tick t4 = serveAt(
-            3 * groups, obs::ResourceClass::return_b_port, t3 + hop, 1);
-        complete = t4 + hop;
-        p.lastLen = 1;
+        const sim::Tick t1 = serveAt(g, hop, 1);
+        const sim::Tick t2 = serveAt(groups + g, t1 + hop, 1);
+        const sim::Tick done =
+            serveAt(3 * groups + 1 + sh.firstModule, t2 + hop,
+                    mem::GlobalMemory::rmw_service);
+        const sim::Tick t3 = serveAt(2 * groups + g, done + hop, 1);
+        serveAt(3 * groups, t3 + hop, 1);
     } else {
         unsigned issued = 0;
         map_.forEachChunk(addr0, sh.words, [&](const mem::Chunk &chunk) {
             // The CE issues the stream pipelined at one word/cycle.
             const sim::Tick issue = issued;
             const unsigned g = map_.group(chunk.addr);
-            const sim::Tick t1 = serveAt(
-                g, obs::ResourceClass::stage1_port, issue + hop,
-                chunk.len);
-            const sim::Tick t2 =
-                serveAt(groups + g, obs::ResourceClass::stage2_port,
-                        t1 + hop, chunk.len);
+            const sim::Tick t1 = serveAt(g, issue + hop, chunk.len);
+            const sim::Tick t2 = serveAt(groups + g, t1 + hop, chunk.len);
             const sim::Tick arrival = t2 + hop;
             sim::Tick memdone = 0;
             for (unsigned i = 0; i < chunk.len; ++i) {
                 const unsigned m = map_.module(chunk.addr + i);
                 memdone = std::max(
-                    memdone,
-                    serveAt(3 * groups + 1 + m,
-                            obs::ResourceClass::memory_module, arrival,
-                            mem::GlobalMemory::word_service));
+                    memdone, serveAt(3 * groups + 1 + m, arrival,
+                                     mem::GlobalMemory::word_service));
             }
             const sim::Tick t3 =
-                serveAt(2 * groups + g,
-                        obs::ResourceClass::return_a_port, memdone + hop,
-                        chunk.len);
-            const sim::Tick t4 =
-                serveAt(3 * groups, obs::ResourceClass::return_b_port,
-                        t3 + hop, chunk.len);
-            complete = std::max(complete, t4 + hop);
+                serveAt(2 * groups + g, memdone + hop, chunk.len);
+            serveAt(3 * groups, t3 + hop, chunk.len);
             issued += chunk.len;
-            p.lastLen = chunk.len;
         });
     }
 
-    p.relComplete = complete;
     for (const ServerRef &r : sh.servers) {
-        const auto &s = scratch[flatIndex(r, groups)];
-        const auto &st = s.stats();
-        PatternServer e;
-        e.bank = r.bank;
-        e.idx = r.idx;
-        e.requests = static_cast<std::uint32_t>(st.requests());
-        e.waitSum = st.waitTicks();
-        e.busySum = st.busyTicks();
-        e.freeAt = s.freeAt();
-        p.servers.push_back(e);
+        const std::size_t si = flatIndex(r, groups);
+        const auto &st = scratch[si].stats();
+        sh.firstArrival.push_back(first_arrival[si]);
+        // Only read for shapes within max_shape_serves, where the
+        // narrowing is exact (shouldRecord refuses the others).
+        sh.requests.push_back(static_cast<std::uint32_t>(st.requests()));
+        sh.busy.push_back(st.busyTicks());
+        sh.serves += st.requests();
     }
-    return p;
 }
 
 /**
@@ -341,14 +289,11 @@ BurstPatternCache::makeShape(unsigned first_module, unsigned words,
 
     // Idle probe: replay the shape once against an empty machine to
     // learn each touched server's earliest possible request arrival
-    // — the canonicalization threshold (see ShapeInfo::firstArrival).
-    // One extra scratch replay per *shape* (a handful per app),
-    // amortised over the millions of lookups it collapses.
-    std::vector<sim::Tick> fa;
-    build(sh, nullptr, &fa);
-    sh.firstArrival.reserve(sh.servers.size());
-    for (const ServerRef &r : sh.servers)
-        sh.firstArrival.push_back(fa[flatIndex(r, groups)]);
+    // — the canonicalization threshold (see ShapeInfo::firstArrival)
+    // — and its offset-independent serve count and busy ticks. One
+    // extra scratch replay per *shape* (a handful per app), amortised
+    // over the millions of lookups and replays that use them.
+    idleProbe(sh);
     return sh;
 }
 

@@ -27,9 +27,13 @@
  * state).
  *
  * A BurstPattern is therefore learned per (shape, offset vector). It
- * records per touched server the request/wait/busy sums and relative
- * free horizon, plus the aggregated per-class queueing waits the
- * telemetry layer would have published. The pattern is *recorded off
+ * records per touched server only what the offsets decide — the wait
+ * sum and the relative free horizon — plus the aggregated per-class
+ * queueing waits the telemetry layer would have published. Each
+ * server's request count and busy ticks are fixed by the routing
+ * alone (one serve per chunk stage or word, each of a fixed service
+ * time), so they live once per shape (ShapeInfo::requests/busy),
+ * taken from the shape's idle probe. The pattern is *recorded off
  * the live slow-path run* the missing access takes anyway (a stats
  * snapshot/diff around it, Network::slowBurstEligible) — by the
  * translation invariance above, those deltas are exactly what a
@@ -84,25 +88,25 @@ struct ServerRef
     std::uint32_t idx; //!< group or module index (bank-relative)
 };
 
-/** One touched server's aggregated reservation outcome, all ticks
- *  relative to the access start. */
+/** One touched server's offset-dependent reservation outcome, all
+ *  ticks relative to the access start. Which server it is, how many
+ *  serves it took and their service ticks are the shape's (aligned
+ *  ShapeInfo::servers/requests/busy entries). */
 struct PatternServer
 {
-    FastBank bank;
-    std::uint32_t idx;      //!< group or module index (bank-relative)
-    std::uint32_t requests; //!< serve() calls replayed
-    sim::Tick waitSum;      //!< queueing recorded
-    sim::Tick busySum;      //!< service recorded
-    sim::Tick freeAt;       //!< server's free horizon afterwards
+    sim::Tick waitSum; //!< queueing recorded
+    sim::Tick freeAt;  //!< server's free horizon afterwards
 };
 
 /** Aggregated resource_wait telemetry of one pattern: @p count
- *  events of @p wait ticks at class @p cls. */
+ *  events of @p wait ticks at class @p cls. A count never exceeds
+ *  one access's serve count, which the store keeps at most 2^32 - 1
+ *  (BurstPatternCache::max_shape_serves). */
 struct PatternWaits
 {
-    obs::ResourceClass cls;
     sim::Tick wait;
-    std::uint64_t count;
+    std::uint32_t count;
+    obs::ResourceClass cls;
 };
 
 /** The reservation outcome of one (shape, offsets) pair at
@@ -380,7 +384,8 @@ class WaitCondenser
 };
 
 /** One access shape: its touched-server set (fixed canonical order,
- *  the order offsets are gathered and keyed in) and the patterns
+ *  the order offsets are gathered and keyed in), what every access of
+ *  the shape does there whatever the offsets, and the patterns
  *  learned per distinct offset vector. */
 struct ShapeInfo
 {
@@ -406,6 +411,21 @@ struct ShapeInfo
      * key (DESIGN.md §10.1).
      */
     std::vector<sim::Tick> firstArrival;
+
+    /**
+     * Per touched server (same order as @p servers): the serve()
+     * calls and the service ticks one access of this shape makes
+     * there. Both are fixed by the routing — which chunk stages and
+     * words reach the server, each at a fixed service time — whatever
+     * the offsets, so every pattern of the shape replays them from
+     * here. Filled by the idle probe.
+     */
+    std::vector<std::uint32_t> requests;
+    std::vector<sim::Tick> busy;
+    /** serve() calls one access of this shape makes in all (the sum
+     *  of @p requests): bounds every request and wait count a
+     *  pattern of the shape holds. */
+    std::uint64_t serves = 0;
 
     /** Exact patterns, keyed by the canonical offset vector
      *  (stride servers.size()). */
@@ -479,9 +499,16 @@ class BurstPatternCache
     /** Learned patterns stop growing past this approximate byte
      *  footprint across all shapes; later unseen offset vectors just
      *  take the slow path. A byte budget rather than an entry count:
-     *  contended RMW patterns are ~50x smaller than long-burst ones,
-     *  and sync-heavy runs want many of exactly those. */
+     *  an RMW pattern takes ~0.26 KB against ~1.5 KB for a 256-word
+     *  burst's (ARC2D 32p), and sync-heavy runs want many of exactly
+     *  those. The paper points stay far below it (ARC2D 32p, the
+     *  largest store, accounts ~51 MB). */
     static constexpr std::size_t max_pattern_bytes = 192u << 20;
+
+    /** Shapes whose one access serves more often than this are never
+     *  recorded: a shape's per-server request counts and a pattern's
+     *  wait counts are 32-bit. */
+    static constexpr std::uint64_t max_shape_serves = ~std::uint32_t(0);
 
     /** Every table starts empty and grows by doubling on demand. */
     explicit BurstPatternCache(const mem::AddressMap &map) : map_(map) {}
@@ -537,13 +564,15 @@ class BurstPatternCache
      * sighting note is a 64-bit hash, so a collision merely records
      * one pattern a sighting early; the pattern map itself still
      * matches vectors exactly. False as well when the store hit its
-     * byte cap or an offset is out of replayable range.
+     * byte cap, an offset is out of replayable range, or the shape
+     * serves too often for a pattern's 32-bit counts.
      */
     bool
     shouldRecord(const ShapeInfo &sh, const std::vector<sim::Tick> &offsets,
                  std::uint64_t hash)
     {
-        if (patternBytes_ >= max_pattern_bytes)
+        if (patternBytes_ >= max_pattern_bytes ||
+            sh.serves > max_shape_serves)
             return false;
         for (const sim::Tick o : offsets)
             if (o >= max_offset)
@@ -560,7 +589,8 @@ class BurstPatternCache
                       const std::vector<sim::Tick> &key,
                       std::uint64_t hash)
     {
-        if (patternBytes_ >= max_pattern_bytes)
+        if (patternBytes_ >= max_pattern_bytes ||
+            sh.serves > max_shape_serves)
             return false;
         // A full family whose worst variant is already fully general
         // can never be improved — stop paying recording bookkeeping.
@@ -650,6 +680,10 @@ class BurstPatternCache
     /** Distinct (shape, offsets) patterns learned so far. */
     std::uint64_t patternsBuilt() const { return patternsBuilt_; }
 
+    /** Accounted bytes of the learned patterns (what the
+     *  max_pattern_bytes budget is checked against). */
+    std::size_t patternBytes() const { return patternBytes_; }
+
     /** The family's highest-scoring (least general) variant. */
     static const ParamPattern *
     worstVariant(const ParamFamily &fam)
@@ -670,13 +704,11 @@ class BurstPatternCache
   private:
     ShapeInfo makeShape(unsigned first_module, unsigned words,
                         bool is_rmw) const;
-    /** Scratch replay of a shape at start = 0 — still the source of
-     *  the per-shape idle probe (ShapeInfo::firstArrival); live
-     *  patterns are recorded from real slow-path runs instead. */
-    BurstPattern build(const ShapeInfo &sh,
-                       const std::vector<sim::Tick> *offsets,
-                       std::vector<sim::Tick> *first_arrival =
-                           nullptr) const;
+    /** Replay @p sh once at start = 0 on an idle scratch machine and
+     *  fill its per-server constants (firstArrival, requests, busy,
+     *  serves). Live patterns are recorded from real slow-path runs
+     *  instead. */
+    void idleProbe(ShapeInfo &sh) const;
 
     /** The sighting-table key of a shape's key hashing to @p hash. */
     static std::uint64_t

@@ -241,13 +241,8 @@ Network::slowBurstEligible(sim::Tick start, sim::ClusterId cluster,
     const bool rec = miss.record;
 
     if (rec) {
-        snapScratch_.clear();
+        snapshotServers(miss);
         waitScratch_.clear();
-        for (const sim::FifoServer *s : *miss.servers) {
-            const auto &st = s->stats();
-            snapScratch_.push_back(
-                {st.requests(), st.waitTicks(), st.busyTicks()});
-        }
     }
 
     // Family validity tracking (§10.2): while the recorded run
@@ -404,6 +399,22 @@ Network::slowBurstEligible(sim::Tick start, sim::ClusterId cluster,
     return res;
 }
 
+void
+Network::snapshotServers(const FastMissCtx &miss)
+{
+    snapScratch_.clear();
+#ifndef NDEBUG
+    debugSnap_.clear();
+#endif
+    for (const sim::FifoServer *s : *miss.servers) {
+        const auto &st = s->stats();
+        snapScratch_.push_back(st.waitTicks());
+#ifndef NDEBUG
+        debugSnap_.push_back({st.requests(), st.busyTicks()});
+#endif
+    }
+}
+
 BurstPattern
 Network::diffPattern(const FastMissCtx &miss, sim::Tick start,
                      sim::Tick rel_complete, unsigned last_len)
@@ -416,17 +427,16 @@ Network::diffPattern(const FastMissCtx &miss, sim::Tick start,
     for (std::size_t j = 0; j < sh.servers.size(); ++j) {
         const sim::FifoServer &s = *(*miss.servers)[j];
         const auto &st = s.stats();
-        PatternServer e;
-        e.bank = sh.servers[j].bank;
-        e.idx = sh.servers[j].idx;
-        e.requests =
-            static_cast<std::uint32_t>(st.requests() - snapScratch_[j][0]);
-        e.waitSum = st.waitTicks() - snapScratch_[j][1];
-        e.busySum = st.busyTicks() - snapScratch_[j][2];
+        // Serve counts and service ticks are the shape's, whatever
+        // the offsets (tests/test_fastpath.cc checks the same in
+        // every build).
+        assert(st.requests() - debugSnap_[j][0] == sh.requests[j]);
+        assert(st.busyTicks() - debugSnap_[j][1] == sh.busy[j]);
         // Every touched server served at least once at an arrival
         // past start, so its horizon sits beyond it.
-        e.freeAt = s.freeAt() - start;
-        p.servers.push_back(e);
+        p.servers.push_back(
+            PatternServer{st.waitTicks() - snapScratch_[j],
+                          s.freeAt() - start});
     }
 
     // Condense the captured per-serve waits by (class, value). The
@@ -549,9 +559,8 @@ Network::fastReplay(sim::Tick start, sim::ClusterId cluster, int ce_port,
         const auto &entries = p->servers;
         assert(entries.size() == srvs.size());
         for (std::size_t j = 0; j < entries.size(); ++j)
-            srvs[j]->applyBatch(entries[j].requests, entries[j].waitSum,
-                                entries[j].busySum,
-                                start + entries[j].freeAt);
+            srvs[j]->applyBatch(sh.requests[j], entries[j].waitSum,
+                                sh.busy[j], start + entries[j].freeAt);
 
         if (tracer_ != nullptr)
             for (const auto &w : p->waits)
@@ -701,11 +710,12 @@ Network::applyParam(const ParamPattern &pp,
         // constraints bound that from below by minus the smallest
         // recorded wait, so no shifted wait goes negative.
         srvs[j]->applyBatch(
-            e.requests,
-            static_cast<sim::Tick>(static_cast<std::int64_t>(e.waitSum) +
-                                   static_cast<std::int64_t>(e.requests) *
-                                       (alpha[b] - beta[b])),
-            e.busySum,
+            sh.requests[j],
+            static_cast<sim::Tick>(
+                static_cast<std::int64_t>(e.waitSum) +
+                static_cast<std::int64_t>(sh.requests[j]) *
+                    (alpha[b] - beta[b])),
+            sh.busy[j],
             start + static_cast<sim::Tick>(
                         static_cast<std::int64_t>(e.freeAt) + alpha[b]));
     }
@@ -747,14 +757,8 @@ Network::rmw(sim::Tick when, sim::ClusterId cluster, int ce_port,
             out.oldValue = gmem_.forceRmw(addr, f);
             return out;
         }
-        if (miss.record) {
-            snapScratch_.clear();
-            for (const sim::FifoServer *s : *miss.servers) {
-                const auto &st = s->stats();
-                snapScratch_.push_back(
-                    {st.requests(), st.waitTicks(), st.busyTicks()});
-            }
-        }
+        if (miss.record)
+            snapshotServers(miss);
     }
     ++fastStats_.slowRmws;
 
@@ -785,8 +789,7 @@ Network::rmw(sim::Tick when, sim::ClusterId cluster, int ce_port,
         const ShapeInfo &sh = *miss.sh;
         for (std::size_t j = 0; j < sh.servers.size(); ++j) {
             const sim::Tick w =
-                (*miss.servers)[j]->stats().waitTicks() -
-                snapScratch_[j][1];
+                (*miss.servers)[j]->stats().waitTicks() - snapScratch_[j];
             waitScratch_.emplace_back(classOfBank(sh.servers[j].bank), w);
         }
         cache_.store(*miss.sh, offsetScratch_, offsetHash_,

@@ -131,6 +131,9 @@ class Network
     /** Distinct (shape, offset-vector) patterns learned so far. */
     std::uint64_t fastPatterns() const { return cache_.patternsBuilt(); }
 
+    /** Accounted bytes of those patterns (informational). */
+    std::size_t fastPatternBytes() const { return cache_.patternBytes(); }
+
     /**
      * Stream @p words consecutive double-words starting at @p addr
      * through the network as one pipelined burst issued at @p start
@@ -321,10 +324,14 @@ class Network
                                  int ce_port, sim::Addr addr,
                                  unsigned words, const FastMissCtx &miss);
 
+    /** Snapshot the touched servers' stats before a recorded run. */
+    void snapshotServers(const FastMissCtx &miss);
+
     /** Condense a just-executed recorded run into a BurstPattern:
-     *  per-server stats deltas against snapScratch_, plus the
-     *  (class, wait) pairs captured in waitScratch_ aggregated by
-     *  equal value (waitCondenser_, no sort). */
+     *  per-server wait-sum deltas against snapScratch_ and free
+     *  horizons, plus the (class, wait) pairs captured in
+     *  waitScratch_ aggregated by equal value (waitCondenser_, no
+     *  sort). */
     BurstPattern diffPattern(const FastMissCtx &miss, sim::Tick start,
                              sim::Tick rel_complete, unsigned last_len);
 
@@ -337,8 +344,12 @@ class Network
     /** Condenses waitScratch_ into a pattern's waits. */
     WaitCondenser waitCondenser_;
     /** Reused pre-run stats snapshot for pattern recording: per
-     *  touched server, (requests, waitTicks, busyTicks). */
-    std::vector<std::array<std::uint64_t, 3>> snapScratch_;
+     *  touched server, its waitTicks. */
+    std::vector<sim::Tick> snapScratch_;
+    /** Debug builds also snapshot (requests, busyTicks), to assert
+     *  that every recorded run matches the shape's constants; empty
+     *  under NDEBUG. */
+    std::vector<std::array<std::uint64_t, 2>> debugSnap_;
     /** Reused family-key buffer (base-subtracted offsets + mask). */
     std::vector<sim::Tick> paramScratch_;
     /** fnvHash(paramScratch_), mask element included. */

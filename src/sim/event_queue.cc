@@ -57,12 +57,12 @@ EventQueue::crossBoundary(Tick when)
     // jumps several windows ahead: the recorder sees identical
     // cumulative counters at the skipped boundaries, which is the
     // truth (nothing executed in between).
-    while (sampleNext_ <= when) {
+    while (!sampleSpent_ && sampleNext_ <= when) {
         if (sampleHook_)
             sampleHook_(sampleNext_);
         const Tick next = satAdd(sampleNext_, sampleWindow_);
-        if (next == sampleNext_) { // saturated at max_tick
-            sampleNext_ = max_tick;
+        if (next == sampleNext_) { // fired at max_tick: no boundary left
+            sampleSpent_ = true;
             break;
         }
         sampleNext_ = next;
@@ -73,6 +73,7 @@ void
 EventQueue::setSampleHook(Tick window, std::function<void(Tick)> hook)
 {
     sampleWindow_ = window;
+    sampleSpent_ = false;
     if (window == 0) {
         sampleHook_ = {};
         sampleNext_ = max_tick;
@@ -129,6 +130,7 @@ EventQueue::reset()
     executed_ = 0;
     peakPending_ = 0;
     sampleNext_ = sampleWindow_ ? sampleWindow_ : max_tick;
+    sampleSpent_ = false;
 }
 
 } // namespace cedar::sim

@@ -144,7 +144,9 @@ class EventQueue
      * every counter reflects exactly the events that ran strictly
      * before the boundary. A time jump across several windows fires
      * the hook once per skipped boundary, and the boundary sequence
-     * saturates at max_tick instead of wrapping. @p window 0
+     * saturates at max_tick instead of wrapping; that last boundary
+     * fires at most once, however many events run at max_tick, until
+     * reset() or a new setSampleHook() re-arms the hook. @p window 0
      * disarms (the default): the only residual cost is a single
      * never-taken compare per event, which is what keeps disabled
      * runs bit-identical.
@@ -197,6 +199,9 @@ class EventQueue
      *  never-taken compare per event). */
     Tick sampleNext_ = max_tick;
     Tick sampleWindow_ = 0;
+    /** The boundary sequence ended at max_tick and that boundary has
+     *  fired: later events at max_tick fire nothing. */
+    bool sampleSpent_ = false;
     std::function<void(Tick)> sampleHook_;
 };
 

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <random>
 #include <sstream>
 #include <string>
@@ -613,6 +614,177 @@ TEST(FastPathStore, SightingGrowthKeepsSecondSightingSemantics)
     EXPECT_TRUE(cache.shouldRecord(sh, v, net::fnvHash(v)));
 }
 
+TEST(FastPathStore, RefusesShapesBeyondThirtyTwoBitCounts)
+{
+    // A pattern's request and wait counts are 32-bit, so a shape
+    // serving more often than that is never recorded, exact or as a
+    // family; no sighting is even counted for it.
+    mem::AddressMap map{32, 4};
+    net::BurstPatternCache cache(map);
+    net::ShapeInfo sh = cache.shape(0, 32, false);
+    const std::size_t n = sh.servers.size();
+    std::vector<Tick> v(n, 0), k(n + 1, 0);
+    k[n] = 1;
+    sh.serves = net::BurstPatternCache::max_shape_serves + 1;
+    for (int i = 0; i < 3; ++i) {
+        EXPECT_FALSE(cache.shouldRecord(sh, v, net::fnvHash(v)));
+        EXPECT_FALSE(cache.shouldRecordParam(sh, k, net::fnvHash(k)));
+    }
+    // At the bound itself recording engages on the second sighting.
+    sh.serves = net::BurstPatternCache::max_shape_serves;
+    EXPECT_FALSE(cache.shouldRecord(sh, v, net::fnvHash(v)));
+    EXPECT_TRUE(cache.shouldRecord(sh, v, net::fnvHash(v)));
+}
+
+static_assert(sizeof(net::PatternServer) == 16,
+              "a pattern keeps only wait sum and horizon per server");
+static_assert(sizeof(net::PatternWaits) == 16,
+              "condensed waits pack count and class into one word");
+
+/** (requests, busy ticks, wait ticks) of one server. */
+struct ServeTotals
+{
+    std::uint64_t requests = 0;
+    Tick busy = 0;
+    Tick wait = 0;
+};
+
+/** Every server of a network and its memory, by (bank name, port):
+ *  crossbar ports under their crossbar's name, modules under
+ *  "module". */
+using ServeMap = std::map<std::pair<std::string, unsigned>, ServeTotals>;
+
+ServeMap
+serveTotals(const net::Network &nw, const mem::GlobalMemory &gm)
+{
+    ServeMap m;
+    const auto add = [&m](const std::string &bank, unsigned port,
+                          const sim::FifoServer &s) {
+        m[{bank, port}] = ServeTotals{s.stats().requests(),
+                                      s.stats().busyTicks(),
+                                      s.stats().waitTicks()};
+    };
+    nw.visitPorts([&](const net::PortSite &site, const sim::FifoServer &s) {
+        add(site.bankName, site.portIdx, s);
+    });
+    for (unsigned i = 0; i < gm.map().numModules(); ++i)
+        add("module", i, gm.moduleServer(i));
+    return m;
+}
+
+/** The ServeMap key a shape's server resolves to for an access
+ *  issued by CE @p ce of cluster @p c (Network::fastServer's
+ *  mapping, spelled with the crossbars' display names). */
+std::pair<std::string, unsigned>
+serveKey(const net::ServerRef &r, unsigned c, unsigned ce)
+{
+    const std::string idx = std::to_string(r.idx);
+    const std::string cl = std::to_string(c);
+    switch (r.bank) {
+    case net::FastBank::stage1:
+        return {"stage1.cluster" + cl, r.idx};
+    case net::FastBank::stage2:
+        return {"stage2.group" + idx, c};
+    case net::FastBank::returnA:
+        return {"returnA.group" + idx, c};
+    case net::FastBank::returnB:
+        return {"returnB.cluster" + cl, ce};
+    case net::FastBank::module:
+    default:
+        return {"module", r.idx};
+    }
+}
+
+TEST(FastPathStore, ShapeConstantsMatchSlowPathServes)
+{
+    // A pattern stores no request counts or busy ticks: replay takes
+    // them from the shape (ShapeInfo::requests/busy, from the idle
+    // probe). Check that the slow path's serves agree, on an idle
+    // machine and on one whose queues are already backed up, and that
+    // the shape's server list is exactly the set of servers touched.
+    struct Geometry
+    {
+        unsigned clusters, ces, modules;
+    };
+    const auto inc = [](std::uint64_t v) { return v + 1; };
+    Tick contendedWait = 0;
+    for (const Geometry g : {Geometry{4, 8, 32}, Geometry{8, 4, 64},
+                             Geometry{1, 16, 32}}) {
+        const mem::AddressMap map{g.modules, 4};
+        net::BurstPatternCache cache(map);
+        const unsigned c = g.clusters - 1;
+        const unsigned ce = g.ces / 2;
+        for (unsigned m = 0; m < g.modules; ++m) {
+            // Same home module as address m, a few interleave rounds up.
+            const sim::Addr addr = m + 3 * g.modules;
+            for (const unsigned words : {1u, 3u, 4u, 5u, 64u, 256u, 0u}) {
+                const bool rmw = words == 0;
+                const net::ShapeInfo &sh =
+                    cache.shape(m, rmw ? 1 : words, rmw);
+                ASSERT_EQ(sh.requests.size(), sh.servers.size());
+                ASSERT_EQ(sh.busy.size(), sh.servers.size());
+                for (const bool contended : {false, true}) {
+                    SCOPED_TRACE(std::to_string(g.clusters) + "x" +
+                                 std::to_string(g.ces) + "/" +
+                                 std::to_string(g.modules) + " module " +
+                                 std::to_string(m) + " words " +
+                                 std::to_string(words) +
+                                 (contended ? " contended" : " idle"));
+                    mem::GlobalMemory gm(map);
+                    net::Network nw(g.clusters, g.ces, gm);
+                    nw.setFastPath(false);
+                    constexpr Tick start = 1000;
+                    if (contended) {
+                        // Back up every bank the access will cross:
+                        // other CEs' bursts over the same modules, the
+                        // issuing CE's own earlier burst, and an RMW
+                        // queued at the home module.
+                        for (unsigned k = 0; k < 4; ++k)
+                            nw.burst(start, k % g.clusters,
+                                     static_cast<int>((ce + 1 + k) % g.ces),
+                                     addr + k, 64);
+                        nw.burst(start, c, static_cast<int>(ce), addr, 32);
+                        nw.rmw(start, 0, 0, addr, inc);
+                    }
+                    const ServeMap before = serveTotals(nw, gm);
+                    if (rmw)
+                        nw.rmw(start, c, static_cast<int>(ce), addr, inc);
+                    else
+                        nw.burst(start, c, static_cast<int>(ce), addr,
+                                 words);
+                    ServeMap delta = serveTotals(nw, gm);
+                    for (auto &[key, d] : delta) {
+                        const ServeTotals &b = before.at(key);
+                        d = ServeTotals{d.requests - b.requests,
+                                        d.busy - b.busy, d.wait - b.wait};
+                    }
+                    std::uint64_t shapeServes = 0;
+                    for (std::size_t j = 0; j < sh.servers.size(); ++j) {
+                        const auto key = serveKey(sh.servers[j], c, ce);
+                        SCOPED_TRACE(key.first + " port " +
+                                     std::to_string(key.second));
+                        const ServeTotals &d = delta.at(key);
+                        EXPECT_EQ(d.requests, sh.requests[j]);
+                        EXPECT_EQ(d.busy, sh.busy[j]);
+                        EXPECT_GT(sh.requests[j], 0u);
+                        shapeServes += sh.requests[j];
+                        if (contended)
+                            contendedWait += d.wait;
+                        delta.erase(key);
+                    }
+                    EXPECT_EQ(sh.serves, shapeServes);
+                    for (const auto &[key, d] : delta)
+                        EXPECT_EQ(d.requests, 0u)
+                            << "untouched " << key.first << " port "
+                            << key.second;
+                }
+            }
+        }
+    }
+    // The pre-loaded queues really were in the way.
+    EXPECT_GT(contendedWait, 0u);
+}
+
 /** Reference condensation: sort, then run-length encode equal
  *  (class, wait) pairs. */
 std::vector<net::PatternWaits>
@@ -624,8 +796,9 @@ sortReference(std::vector<net::WaitCondenser::Sample> samples)
         std::size_t k = i + 1;
         while (k < samples.size() && samples[k] == samples[i])
             ++k;
-        out.push_back(
-            net::PatternWaits{samples[i].first, samples[i].second, k - i});
+        out.push_back(net::PatternWaits{samples[i].second,
+                                        static_cast<std::uint32_t>(k - i),
+                                        samples[i].first});
         i = k;
     }
     return out;

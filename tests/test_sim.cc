@@ -471,6 +471,33 @@ TEST(EventQueueSampleHook, NearMaxTickEndsFiringWithoutOverflow)
     EXPECT_EQ(log.boundaries, expect);
 }
 
+TEST(EventQueueSampleHook, MaxTickBoundaryFiresOnce)
+{
+    // With a window of 2^63 the boundaries are 2^63 and then max_tick,
+    // where the sequence saturates: max_tick is its last boundary.
+    constexpr Tick W = Tick(1) << 63;
+    EventQueue eq;
+    HookLog log;
+    eq.setSampleHook(W, log.hook(eq));
+    eq.schedule(max_tick, [] {});
+    eq.schedule(max_tick, [] {});
+    EXPECT_TRUE(eq.run());
+    EXPECT_EQ(log.boundaries, (std::vector<Tick>{W, max_tick}));
+    EXPECT_EQ(eq.executed(), 2u);
+    // A later event at the same tick fires nothing either.
+    eq.schedule(max_tick, [] {});
+    eq.run();
+    EXPECT_EQ(log.boundaries.size(), 2u);
+
+    // reset() re-arms the whole sequence, max_tick included.
+    eq.reset();
+    log.boundaries.clear();
+    eq.schedule(max_tick, [] {});
+    eq.schedule(max_tick, [] {});
+    eq.run();
+    EXPECT_EQ(log.boundaries, (std::vector<Tick>{W, max_tick}));
+}
+
 TEST(EventQueueSampleHook, ResetRearmsAlignedToZero)
 {
     EventQueue eq;

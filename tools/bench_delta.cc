@@ -11,7 +11,8 @@
  * prints, per app/procs configuration, the events/sec ratio of NEW
  * over OLD; for every fast-path leg in NEW the fast/slow wall split
  * plus the ratio against OLD's committed sweep throughput of the
- * same configuration; and the replica-ensemble and time-series legs
+ * same configuration and, where recorded, the size of the pattern
+ * store the fast run learned; and the replica-ensemble and time-series legs
  * next to their baseline counterparts where OLD has them.
  *
  * The report is informational (exit 0 even when slower — the
@@ -182,6 +183,12 @@ main(int argc, char **argv)
                       << evs(fast) << " ev/s, slow " << evs(slow)
                       << " ev/s, speedup "
                       << ratio(leg.at("speedup").asNumber());
+            // Pattern bytes arrived within schema v5; documents
+            // recorded before that simply lack them.
+            if (leg.has("pattern_bytes"))
+                std::cout << ", "
+                          << leg.at("pattern_bytes").asNumber() / 1e6
+                          << " MB of patterns";
             if (base > 0)
                 std::cout << ", committed baseline " << evs(base)
                           << " ev/s (" << ratio(fast / base)
