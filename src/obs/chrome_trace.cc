@@ -1,8 +1,11 @@
 #include "obs/chrome_trace.hh"
 
+#include <array>
 #include <fstream>
 #include <ostream>
 #include <set>
+#include <string>
+#include <string_view>
 
 #include "bench_json.hh"
 #include "obs/timeseries.hh"
@@ -121,7 +124,7 @@ writeChromeTrace(std::ostream &os, const std::vector<hpm::Record> &recs,
         j.beginObject();
         j.field("name", shape.name);
         j.field("cat", shape.cat);
-        j.field("ph", std::string(1, shape.ph));
+        j.field("ph", std::string_view(&shape.ph, 1));
         j.field("ts", static_cast<double>(r.when) * us_per_tick);
         j.field("pid", 0);
         j.field("tid", static_cast<unsigned>(r.ce));
@@ -179,7 +182,7 @@ flowPoint(tools::JsonWriter &j, char ph, std::uint32_t id, double ts,
     j.beginObject();
     j.field("name", "gm_request");
     j.field("cat", "gm");
-    j.field("ph", std::string(1, ph));
+    j.field("ph", std::string_view(&ph, 1));
     j.field("id", id);
     j.field("ts", ts);
     j.field("pid", pid);
@@ -199,7 +202,7 @@ constexpr unsigned pid_telemetry = 5; //!< windowed counter tracks
 
 /** One 'C' counter sample (each name is its own counter track). */
 void
-counter(tools::JsonWriter &j, const std::string &name, double ts,
+counter(tools::JsonWriter &j, std::string_view name, double ts,
         double value)
 {
     j.beginObject();
@@ -218,29 +221,35 @@ counter(tools::JsonWriter &j, const std::string &name, double ts,
 void
 counterTracks(tools::JsonWriter &j, const TimeSeries &ts, double us)
 {
+    std::array<std::string, num_resource_classes> depthTrack, utilTrack;
+    for (std::size_t c = 0; c < num_resource_classes; ++c) {
+        const char *cls = toString(static_cast<ResourceClass>(c));
+        depthTrack[c] = std::string("queue_depth.") + cls;
+        utilTrack[c] = std::string("utilization.") + cls;
+    }
+    std::array<std::string, num_time_cats> catTrack;
+    for (std::size_t c = 0; c < num_time_cats; ++c)
+        catTrack[c] = std::string("ces_in.") +
+                      os::toString(static_cast<os::TimeCat>(c));
+
     for (const auto &w : ts.windows) {
         const double t = static_cast<double>(w.start) * us;
         const double width = static_cast<double>(w.width());
         if (width <= 0)
             continue;
         for (std::size_t c = 0; c < num_resource_classes; ++c) {
-            const auto cls = static_cast<ResourceClass>(c);
-            if (isQueueingClass(cls))
-                counter(j, std::string("queue_depth.") + toString(cls),
-                        t,
+            if (isQueueingClass(static_cast<ResourceClass>(c)))
+                counter(j, depthTrack[c], t,
                         static_cast<double>(w.classes.waitTicks[c]) /
                             width);
             if (w.classes.resources[c] > 0)
-                counter(j, std::string("utilization.") + toString(cls),
-                        t,
+                counter(j, utilTrack[c], t,
                         static_cast<double>(w.classes.busyTicks[c]) /
                             (width * w.classes.resources[c]));
         }
         for (std::size_t c = 0; c < num_time_cats; ++c)
-            counter(j,
-                    std::string("ces_in.") +
-                        os::toString(static_cast<os::TimeCat>(c)),
-                    t, static_cast<double>(w.catTicks[c]) / width);
+            counter(j, catTrack[c], t,
+                    static_cast<double>(w.catTicks[c]) / width);
         const double bursts =
             static_cast<double>(w.fastHits + w.fastMisses);
         counter(j, "fastpath_hit_rate", t,

@@ -1,21 +1,33 @@
 #include "bench_json.hh"
 
-#include <array>
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
+#include <system_error>
 
 namespace cedar::tools
 {
 
-std::string
-JsonWriter::quoted(const std::string &s)
+namespace
 {
-    std::string out;
-    out.reserve(s.size() + 2);
+
+/** Past this many buffered bytes the writer hands them over. */
+constexpr std::size_t flush_threshold = 64 * 1024;
+
+/** Append @p s escaped and quoted per RFC 8259. */
+void
+appendQuoted(std::string &out, std::string_view s)
+{
+    static constexpr char hex[] = "0123456789abcdef";
     out += '"';
-    for (const char c : s) {
+    std::size_t run = 0; // start of the pending run of plain bytes
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const auto c = static_cast<unsigned char>(s[i]);
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        out.append(s, run, i - run);
+        run = i + 1;
         switch (c) {
           case '"': out += "\\\""; break;
           case '\\': out += "\\\\"; break;
@@ -23,36 +35,100 @@ JsonWriter::quoted(const std::string &s)
           case '\r': out += "\\r"; break;
           case '\t': out += "\\t"; break;
           default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                std::array<char, 8> buf{};
-                std::snprintf(buf.data(), buf.size(), "\\u%04x",
-                              static_cast<unsigned>(c));
-                out += buf.data();
-            } else {
-                out += c;
-            }
+            out += "\\u00";
+            out += hex[c >> 4];
+            out += hex[c & 0xf];
         }
     }
+    out.append(s, run, s.size() - run);
     out += '"';
+}
+
+/**
+ * Append the `%.{p}g` form of @p v for the smallest p that parses
+ * back exactly (capped at 17, which always does). No p below the
+ * shortest round-trip digit count can parse back, so the search
+ * starts there; it cannot simply take the shortest form, because
+ * `%.{p}g` rounds correctly to p digits while the shortest form may
+ * pick another p-digit number in the rounding interval (and prints
+ * exponents differently).
+ */
+void
+appendNumber(std::string &out, double v)
+{
+    if (!std::isfinite(v)) {
+        out += "null"; // JSON has no inf/nan
+        return;
+    }
+    char buf[32];
+    const auto sci =
+        std::to_chars(buf, buf + sizeof buf, v, std::chars_format::scientific);
+    int prec = 0;
+    for (const char *c = buf; c != sci.ptr && *c != 'e'; ++c)
+        prec += (*c >= '0' && *c <= '9');
+    for (;; ++prec) {
+        const auto r = std::to_chars(buf, buf + sizeof buf, v,
+                                     std::chars_format::general, prec);
+        double back = 0;
+        const auto parsed = std::from_chars(buf, r.ptr, back);
+        if (prec >= 17 || (parsed.ec == std::errc() && back == v)) {
+            out.append(buf, r.ptr);
+            return;
+        }
+    }
+}
+
+template <typename Int>
+void
+appendInt(std::string &out, Int v)
+{
+    char buf[24];
+    const auto r = std::to_chars(buf, buf + sizeof buf, v);
+    out.append(buf, r.ptr);
+}
+
+} // namespace
+
+JsonWriter::~JsonWriter()
+{
+    try {
+        flush();
+    } catch (...) {
+        // A stream set to throw keeps its failure on its state.
+    }
+}
+
+std::string
+JsonWriter::quoted(const std::string &s)
+{
+    std::string out;
+    out.reserve(s.size() + 2);
+    appendQuoted(out, s);
     return out;
 }
 
 std::string
 JsonWriter::number(double v)
 {
-    if (!std::isfinite(v))
-        return "null"; // JSON has no inf/nan
-    // Shortest precision that round-trips: try increasing digit
-    // counts until parsing back gives the same value.
-    std::array<char, 40> buf{};
-    for (int prec = 1; prec <= 17; ++prec) {
-        std::snprintf(buf.data(), buf.size(), "%.*g", prec, v);
-        double back = 0;
-        std::sscanf(buf.data(), "%lf", &back);
-        if (back == v)
-            break;
-    }
-    return buf.data();
+    std::string out;
+    appendNumber(out, v);
+    return out;
+}
+
+void
+JsonWriter::flush()
+{
+    if (buf_.empty())
+        return;
+    os_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
+    buf_.clear();
+}
+
+void
+JsonWriter::flushIfDue()
+{
+    if (stack_.empty() || buf_.size() >= flush_threshold)
+        flush();
 }
 
 void
@@ -64,8 +140,8 @@ JsonWriter::separator()
     }
     if (!stack_.empty()) {
         if (!firstInCtx_)
-            os_ << ',';
-        os_ << '\n';
+            buf_ += ',';
+        buf_ += '\n';
         indent();
     }
     firstInCtx_ = false;
@@ -74,8 +150,7 @@ JsonWriter::separator()
 void
 JsonWriter::indent()
 {
-    for (std::size_t i = 0; i < stack_.size(); ++i)
-        os_ << "  ";
+    buf_.append(2 * stack_.size(), ' ');
 }
 
 JsonWriter &
@@ -84,7 +159,7 @@ JsonWriter::beginObject()
     separator();
     stack_.push_back(Ctx::object);
     firstInCtx_ = true;
-    os_ << '{';
+    buf_ += '{';
     return *this;
 }
 
@@ -93,13 +168,14 @@ JsonWriter::endObject()
 {
     stack_.pop_back();
     if (!firstInCtx_) {
-        os_ << '\n';
+        buf_ += '\n';
         indent();
     }
     firstInCtx_ = false;
-    os_ << '}';
+    buf_ += '}';
     if (stack_.empty())
-        os_ << '\n';
+        buf_ += '\n';
+    flushIfDue();
     return *this;
 }
 
@@ -109,7 +185,7 @@ JsonWriter::beginArray()
     separator();
     stack_.push_back(Ctx::array);
     firstInCtx_ = true;
-    os_ << '[';
+    buf_ += '[';
     return *this;
 }
 
@@ -118,42 +194,40 @@ JsonWriter::endArray()
 {
     stack_.pop_back();
     if (!firstInCtx_) {
-        os_ << '\n';
+        buf_ += '\n';
         indent();
     }
     firstInCtx_ = false;
-    os_ << ']';
+    buf_ += ']';
+    flushIfDue();
     return *this;
 }
 
 JsonWriter &
-JsonWriter::key(const std::string &k)
+JsonWriter::key(std::string_view k)
 {
     separator();
-    os_ << quoted(k) << ": ";
+    appendQuoted(buf_, k);
+    buf_ += ": ";
     pendingKey_ = true;
     return *this;
 }
 
 JsonWriter &
-JsonWriter::value(const std::string &v)
+JsonWriter::value(std::string_view v)
 {
     separator();
-    os_ << quoted(v);
+    appendQuoted(buf_, v);
+    flushIfDue();
     return *this;
-}
-
-JsonWriter &
-JsonWriter::value(const char *v)
-{
-    return value(std::string(v));
 }
 
 JsonWriter &
 JsonWriter::value(double v)
 {
     separator();
-    os_ << number(v);
+    appendNumber(buf_, v);
+    flushIfDue();
     return *this;
 }
 
@@ -161,7 +235,8 @@ JsonWriter &
 JsonWriter::value(std::uint64_t v)
 {
     separator();
-    os_ << v;
+    appendInt(buf_, v);
+    flushIfDue();
     return *this;
 }
 
@@ -169,7 +244,8 @@ JsonWriter &
 JsonWriter::value(std::int64_t v)
 {
     separator();
-    os_ << v;
+    appendInt(buf_, v);
+    flushIfDue();
     return *this;
 }
 
@@ -177,7 +253,8 @@ JsonWriter &
 JsonWriter::value(bool v)
 {
     separator();
-    os_ << (v ? "true" : "false");
+    buf_ += v ? "true" : "false";
+    flushIfDue();
     return *this;
 }
 
@@ -405,11 +482,40 @@ class JsonParser
                 ++pos_;
             digits();
         }
-        const std::string tok = s_.substr(start, pos_ - start);
         JsonValue v;
         v.kind_ = JsonValue::Kind::number;
-        v.num_ = std::strtod(tok.c_str(), nullptr);
+        const char *first = s_.data() + start;
+        const char *last = s_.data() + pos_;
+        if (std::from_chars(first, last, v.num_).ec != std::errc())
+            v.num_ = outOfRange(std::string_view(first, last - first));
         return v;
+    }
+
+    /**
+     * The value of a validated token that std::from_chars declines
+     * as out of range. Correctly rounded, it is then ±inf or ±0 (what
+     * strtod returns): ±inf exactly when the token's leading nonzero
+     * digit sits at a decimal exponent >= 0.
+     */
+    static double
+    outOfRange(std::string_view tok)
+    {
+        const bool neg = tok.front() == '-';
+        const std::size_t e = std::min(tok.find_first_of("eE"), tok.size());
+        const std::string_view mant = tok.substr(neg, e - neg);
+        const std::size_t dot = std::min(mant.find('.'), mant.size());
+        const std::size_t lead = mant.find_first_not_of("0.");
+        long long exp = lead == std::string_view::npos ? 0
+                        : lead < dot ? static_cast<long long>(dot - lead - 1)
+                                     : -static_cast<long long>(lead - dot);
+        long long given = 0; // saturates: a token can be any length
+        for (std::size_t k = e + 1; k < tok.size(); ++k)
+            if (tok[k] >= '0' && tok[k] <= '9' && given < 1'000'000'000)
+                given = given * 10 + (tok[k] - '0');
+        exp += e + 1 < tok.size() && tok[e + 1] == '-' ? -given : given;
+        const double mag =
+            lead != std::string_view::npos && exp >= 0 ? HUGE_VAL : 0.0;
+        return neg ? -mag : mag;
     }
 
     const std::string &s_;

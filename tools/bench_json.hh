@@ -1,19 +1,28 @@
 /**
  * @file
- * A tiny dependency-free JSON emitter and reader for benchmark
- * artifacts.
+ * The library's dependency-free JSON emitter and reader.
  *
- * The perf-regression harness (bench/sweep_perf) writes
- * BENCH_sweep.json so every PR leaves a machine-readable performance
- * trajectory behind, and the delta reporter (tools/bench_delta)
- * reads two of those files back to compare trajectories. The writer
- * covers exactly what the harness needs: nested objects/arrays,
- * string/number/bool scalars, correct string escaping, and
- * round-trippable numbers (shortest representation that parses back
- * exactly). Commas and key/value ordering are handled by a context
- * stack, so call sites read like the document. The reader is a
- * strict recursive-descent parser over the same subset (full RFC
- * 8259 minus \\u surrogate pairs, which the emitter never produces).
+ * JsonWriter is the one emitter behind every JSON document the
+ * project writes: span and Chrome traces (obs/chrome_trace), the
+ * cedar-metrics-v1, report, summary and study artifacts, and the
+ * benchmark trajectories (bench/sweep_perf, perfbench). JsonValue
+ * reads documents back (tools/bench_delta, core/summarize). The
+ * writer covers nested objects/arrays, string/number/bool scalars,
+ * RFC 8259 string escaping and round-trippable numbers: the fewest
+ * `%.{p}g` digits that parse back exactly, formatted with
+ * std::to_chars, so the output does not depend on LC_NUMERIC.
+ * Commas and key/value ordering are handled by a context stack, so
+ * call sites read like the document. The reader is a strict
+ * recursive-descent parser over the same subset (full RFC 8259 minus
+ * \\u surrogate pairs, which the emitter never produces).
+ *
+ * Flush contract: the writer appends into its own buffer and hands
+ * it to the stream with one write whenever it passes 64 KiB, as soon
+ * as the top-level value closes, and when the writer is destroyed.
+ * So once the document is complete the stream holds all of it (and
+ * any write error is on the stream's state), and writers used one
+ * after another on one stream keep their order. Do not write to the
+ * stream directly while a document is open.
  */
 
 #ifndef CEDAR_TOOLS_BENCH_JSON_HH
@@ -23,17 +32,20 @@
 #include <ostream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 namespace cedar::tools
 {
 
-/** Streaming JSON writer with automatic comma/indent management. */
+/** Buffered JSON writer with automatic comma/indent management. */
 class JsonWriter
 {
   public:
     explicit JsonWriter(std::ostream &os) : os_(os) {}
+    /** Hands whatever is still buffered to the stream. */
+    ~JsonWriter();
 
     JsonWriter(const JsonWriter &) = delete;
     JsonWriter &operator=(const JsonWriter &) = delete;
@@ -44,10 +56,12 @@ class JsonWriter
     JsonWriter &endArray();
 
     /** Emit an object key; the next emitted value belongs to it. */
-    JsonWriter &key(const std::string &k);
+    JsonWriter &key(std::string_view k);
 
-    JsonWriter &value(const std::string &v);
-    JsonWriter &value(const char *v);
+    JsonWriter &value(std::string_view v);
+    /** Keeps `value("text")` a string: without it a literal would
+     *  convert to bool before it converts to std::string_view. */
+    JsonWriter &value(const char *v) { return value(std::string_view(v)); }
     JsonWriter &value(double v);
     JsonWriter &value(std::uint64_t v);
     JsonWriter &value(std::int64_t v);
@@ -58,7 +72,7 @@ class JsonWriter
     /** key() + value() in one call. */
     template <typename T>
     JsonWriter &
-    field(const std::string &k, const T &v)
+    field(std::string_view k, const T &v)
     {
         key(k);
         return value(v);
@@ -75,8 +89,13 @@ class JsonWriter
 
     void separator();
     void indent();
+    /** Hand the buffer over once the document is complete or the
+     *  buffer has passed the flush threshold. */
+    void flushIfDue();
+    void flush();
 
     std::ostream &os_;
+    std::string buf_;
     std::vector<Ctx> stack_;
     bool firstInCtx_ = true;
     bool pendingKey_ = false;
