@@ -7,7 +7,7 @@
 #include <array>
 #include <cctype>
 #include <chrono>
-#include <cstring>
+#include <climits>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -25,7 +25,11 @@ namespace cedar::core
 namespace fs = std::filesystem;
 using sim::ConfigError;
 using sim::SimError;
+using tools::JsonParseError;
+using tools::JsonValue;
 using tools::JsonWriter;
+using tools::numOr;
+using tools::strOr;
 
 std::uint64_t
 fnv1a64(std::string_view data)
@@ -141,271 +145,6 @@ writeScenarioSummary(std::ostream &os, const ScenarioSpec &spec,
     os << "\n";
 }
 
-namespace
-{
-
-// ---------------------------------------------------------------
-// A minimal JSON reader for the engine's own documents (manifest
-// journal records and cache entries). Covers exactly what
-// JsonWriter and the journal emit: objects, arrays, strings with
-// RFC 8259 escapes, numbers, booleans and null.
-// ---------------------------------------------------------------
-
-struct Jv
-{
-    enum class Kind { null, boolean, number, string, array, object };
-    Kind kind = Kind::null;
-    bool b = false;
-    double num = 0;
-    std::string str;
-    std::vector<Jv> arr;
-    std::vector<std::pair<std::string, Jv>> obj;
-
-    const Jv *
-    get(const std::string &k) const
-    {
-        for (const auto &[key, v] : obj)
-            if (key == k)
-                return &v;
-        return nullptr;
-    }
-
-    std::string
-    getStr(const std::string &k) const
-    {
-        const Jv *v = get(k);
-        return v && v->kind == Kind::string ? v->str : std::string();
-    }
-
-    double
-    getNum(const std::string &k) const
-    {
-        const Jv *v = get(k);
-        return v && v->kind == Kind::number ? v->num : 0.0;
-    }
-};
-
-class JsonParser
-{
-  public:
-    explicit JsonParser(const std::string &text) : s_(text) {}
-
-    Jv
-    parse()
-    {
-        ws();
-        Jv v = value();
-        ws();
-        if (i_ != s_.size())
-            fail("trailing garbage");
-        return v;
-    }
-
-  private:
-    [[noreturn]] void
-    fail(const std::string &what) const
-    {
-        throw SimError("json: " + what + " at offset " +
-                       std::to_string(i_));
-    }
-
-    void
-    ws()
-    {
-        while (i_ < s_.size() &&
-               (s_[i_] == ' ' || s_[i_] == '\t' || s_[i_] == '\n' ||
-                s_[i_] == '\r'))
-            ++i_;
-    }
-
-    char
-    peek() const
-    {
-        return i_ < s_.size() ? s_[i_] : '\0';
-    }
-
-    void
-    expect(char c)
-    {
-        if (peek() != c)
-            fail(std::string("expected '") + c + "'");
-        ++i_;
-    }
-
-    bool
-    literal(const char *word)
-    {
-        const std::size_t n = std::strlen(word);
-        if (s_.compare(i_, n, word) != 0)
-            return false;
-        i_ += n;
-        return true;
-    }
-
-    Jv
-    value()
-    {
-        switch (peek()) {
-          case '{': return object();
-          case '[': return array();
-          case '"': {
-            Jv v;
-            v.kind = Jv::Kind::string;
-            v.str = string_();
-            return v;
-          }
-          case 't':
-          case 'f': {
-            Jv v;
-            v.kind = Jv::Kind::boolean;
-            v.b = peek() == 't';
-            if (!literal(v.b ? "true" : "false"))
-                fail("bad literal");
-            return v;
-          }
-          case 'n':
-            if (!literal("null"))
-                fail("bad literal");
-            return Jv{};
-          default: return number();
-        }
-    }
-
-    Jv
-    object()
-    {
-        Jv v;
-        v.kind = Jv::Kind::object;
-        expect('{');
-        ws();
-        if (peek() == '}') {
-            ++i_;
-            return v;
-        }
-        for (;;) {
-            ws();
-            std::string key = string_();
-            ws();
-            expect(':');
-            ws();
-            v.obj.emplace_back(std::move(key), value());
-            ws();
-            if (peek() == ',') {
-                ++i_;
-                continue;
-            }
-            expect('}');
-            return v;
-        }
-    }
-
-    Jv
-    array()
-    {
-        Jv v;
-        v.kind = Jv::Kind::array;
-        expect('[');
-        ws();
-        if (peek() == ']') {
-            ++i_;
-            return v;
-        }
-        for (;;) {
-            ws();
-            v.arr.push_back(value());
-            ws();
-            if (peek() == ',') {
-                ++i_;
-                continue;
-            }
-            expect(']');
-            return v;
-        }
-    }
-
-    std::string
-    string_()
-    {
-        expect('"');
-        std::string out;
-        while (i_ < s_.size() && s_[i_] != '"') {
-            char c = s_[i_++];
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
-            if (i_ >= s_.size())
-                fail("truncated escape");
-            const char e = s_[i_++];
-            switch (e) {
-              case '"': out += '"'; break;
-              case '\\': out += '\\'; break;
-              case '/': out += '/'; break;
-              case 'b': out += '\b'; break;
-              case 'f': out += '\f'; break;
-              case 'n': out += '\n'; break;
-              case 'r': out += '\r'; break;
-              case 't': out += '\t'; break;
-              case 'u': {
-                if (i_ + 4 > s_.size())
-                    fail("truncated \\u escape");
-                unsigned cp = 0;
-                for (int k = 0; k < 4; ++k) {
-                    const char h = s_[i_++];
-                    cp <<= 4;
-                    if (h >= '0' && h <= '9')
-                        cp |= static_cast<unsigned>(h - '0');
-                    else if (h >= 'a' && h <= 'f')
-                        cp |= static_cast<unsigned>(h - 'a' + 10);
-                    else if (h >= 'A' && h <= 'F')
-                        cp |= static_cast<unsigned>(h - 'A' + 10);
-                    else
-                        fail("bad \\u escape");
-                }
-                // The writer only emits \u for control characters,
-                // so a one-byte decode covers everything we read
-                // back; anything wider degrades to '?'.
-                out += cp < 0x80 ? static_cast<char>(cp) : '?';
-                break;
-              }
-              default: fail("bad escape");
-            }
-        }
-        expect('"');
-        return out;
-    }
-
-    Jv
-    number()
-    {
-        const std::size_t start = i_;
-        while (i_ < s_.size() &&
-               (std::isdigit(static_cast<unsigned char>(s_[i_])) ||
-                s_[i_] == '-' || s_[i_] == '+' || s_[i_] == '.' ||
-                s_[i_] == 'e' || s_[i_] == 'E'))
-            ++i_;
-        if (i_ == start)
-            fail("expected a value");
-        Jv v;
-        v.kind = Jv::Kind::number;
-        try {
-            v.num = std::stod(s_.substr(start, i_ - start));
-        } catch (const std::exception &) {
-            fail("bad number");
-        }
-        return v;
-    }
-
-    const std::string &s_;
-    std::size_t i_ = 0;
-};
-
-Jv
-parseJson(const std::string &text)
-{
-    return JsonParser(text).parse();
-}
-
 std::optional<std::string>
 readFile(const std::string &path)
 {
@@ -417,26 +156,34 @@ readFile(const std::string &path)
     return os.str();
 }
 
+namespace
+{
+
 // ---------------------------------------------------------------
 // Manifest journal: append-only JSONL, one fsync per record, so
 // the on-disk log is current up to the instant of a kill (modulo
-// one possibly-torn final line, which readers tolerate).
+// one possibly-torn final line, which readers tolerate and a resume
+// cuts off before it appends).
 // ---------------------------------------------------------------
 
 class ManifestJournal
 {
   public:
-    ManifestJournal(const std::string &path, bool append)
+    /** Open @p path keeping only its first @p keep bytes: the intact
+     *  lines a resume folded (0 starts a fresh journal). */
+    ManifestJournal(const std::string &path, std::uintmax_t keep)
     {
-        const bool fresh = !append || !fs::exists(path);
         fd_ = ::open(path.c_str(),
-                     O_WRONLY | O_CREAT | O_CLOEXEC |
-                         (append ? O_APPEND : O_TRUNC),
-                     0644);
+                     O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
         if (fd_ < 0)
             throw SimError("study: cannot open manifest journal " +
                            path);
-        if (fresh)
+        if (::ftruncate(fd_, static_cast<off_t>(keep)) != 0) {
+            ::close(fd_);
+            throw SimError("study: cannot trim manifest journal " +
+                           path);
+        }
+        if (keep == 0)
             line("{\"schema\":\"cedar-manifest-v1\"}");
     }
 
@@ -546,52 +293,75 @@ struct ManifestState
 };
 
 /**
- * Fold a journal into per-scenario terminal state. A torn final
- * line (the process was killed mid-write, pre-fsync) ends the fold
- * gracefully: everything before it is intact by construction.
+ * Fold a journal into per-scenario terminal state. An unterminated
+ * final line or a line that does not parse (a torn record: the
+ * process was killed mid-write, pre-fsync) ends the fold; everything
+ * before it is intact by construction. A line that parses but is not
+ * a well-formed record (not an object, a wrong-typed field, an
+ * attempt that is not a whole number in range) is skipped. @p intact
+ * receives the length of the lines read before the fold ended.
  */
 std::map<std::string, ManifestState>
-readManifest(const std::string &path)
+readManifest(const std::string &path, std::uintmax_t &intact)
 {
     std::map<std::string, ManifestState> out;
-    std::ifstream in(path);
-    if (!in)
-        return out;
+    intact = 0;
+    std::ifstream in(path, std::ios::binary);
     std::string lineText;
-    while (std::getline(in, lineText)) {
+    while (std::getline(in, lineText) && !in.eof()) {
+        const std::uintmax_t lineStart = intact;
+        intact += lineText.size() + 1;
         if (lineText.empty())
             continue;
-        Jv rec;
+        JsonValue rec;
         try {
-            rec = parseJson(lineText);
-        } catch (const SimError &) {
+            rec = JsonValue::parse(lineText);
+        } catch (const JsonParseError &) {
+            intact = lineStart;
             break; // torn tail record
         }
-        if (rec.kind != Jv::Kind::object || rec.get("schema"))
+        if (rec.kind() != JsonValue::Kind::object || rec.has("schema"))
             continue;
-        const std::string kind = rec.getStr("rec");
-        const std::string name = rec.getStr("scenario");
-        if (name.empty())
+        // Decode the whole record before it touches the fold.
+        std::string kind, name, hash, status, error, summaryHash,
+            metricsHash;
+        std::optional<std::uint64_t> attempt;
+        const bool hasArtifacts = rec.has("artifacts");
+        try {
+            kind = strOr(rec, "rec");
+            name = strOr(rec, "scenario");
+            hash = strOr(rec, "hash");
+            status = strOr(rec, "status");
+            error = strOr(rec, "error");
+            attempt = tools::toCount(numOr(rec, "attempt"), UINT_MAX);
+            if (hasArtifacts) {
+                summaryHash = strOr(rec.at("artifacts"), "summary");
+                metricsHash = strOr(rec.at("artifacts"), "metrics");
+            }
+        } catch (const JsonParseError &) {
+            continue;
+        }
+        if (name.empty() || !attempt)
             continue;
         auto &st = out[name];
-        st.attempts = std::max(
-            st.attempts, static_cast<unsigned>(rec.getNum("attempt")));
+        st.attempts =
+            std::max(st.attempts, static_cast<unsigned>(*attempt));
         if (kind == "start") {
             st.last = ManifestState::Last::started;
-            st.hash = rec.getStr("hash");
+            st.hash = hash;
         } else if (kind == "failed") {
             st.last = ManifestState::Last::failed;
-            st.hash = rec.getStr("hash");
-            st.status = rec.getStr("status");
-            st.error = rec.getStr("error");
+            st.hash = hash;
+            st.status = status;
+            st.error = error;
         } else if (kind == "done" || kind == "cached") {
             st.last = ManifestState::Last::done;
-            st.hash = rec.getStr("hash");
-            st.status = rec.getStr("status");
+            st.hash = hash;
+            st.status = status;
             st.error.clear();
-            if (const Jv *a = rec.get("artifacts")) {
-                st.summaryHash = a->getStr("summary");
-                st.metricsHash = a->getStr("metrics");
+            if (hasArtifacts) {
+                st.summaryHash = summaryHash;
+                st.metricsHash = metricsHash;
             }
         }
     }
@@ -600,9 +370,10 @@ readManifest(const std::string &path)
 
 // ---------------------------------------------------------------
 // Content-addressed result cache: <cacheDir>/<hash>/{summary.json,
-// metrics.json, entry.json}. entry.json is written last (and
-// atomically), so its presence implies the artifacts exist; hits
-// are still verified byte-for-byte against the stored hashes.
+// metrics.json, entry.json}. entry.json (cedar-cache-v2) holds only
+// the key and the artifacts' content hashes; it is written last (and
+// atomically), so its presence implies the artifacts exist; hits are
+// still verified byte-for-byte against the stored hashes.
 // ---------------------------------------------------------------
 
 struct CacheEntry
@@ -611,11 +382,6 @@ struct CacheEntry
     std::string metrics;
     std::string summaryHash;
     std::string metricsHash;
-    std::string status;
-    std::string machine;
-    std::string app;
-    double seconds = 0;
-    double concurrency = 0;
 };
 
 std::optional<CacheEntry>
@@ -627,21 +393,19 @@ probeCache(const std::string &cacheDir, const std::string &hash)
     const auto meta = readFile(dir + "/entry.json");
     if (!meta)
         return std::nullopt;
-    Jv e;
+    CacheEntry hit;
     try {
-        e = parseJson(*meta);
-    } catch (const SimError &) {
+        const JsonValue e = JsonValue::parse(*meta);
+        // A cedar-cache-v1 entry is a miss: the scenario re-runs once
+        // and its entry is rewritten as v2.
+        if (strOr(e, "schema") != "cedar-cache-v2" ||
+            strOr(e, "hash") != hash || !e.has("artifacts"))
+            return std::nullopt;
+        hit.summaryHash = strOr(e.at("artifacts"), "summary");
+        hit.metricsHash = strOr(e.at("artifacts"), "metrics");
+    } catch (const JsonParseError &) {
         return std::nullopt;
     }
-    if (e.getStr("schema") != "cedar-cache-v1" ||
-        e.getStr("hash") != hash)
-        return std::nullopt;
-    const Jv *arts = e.get("artifacts");
-    if (!arts)
-        return std::nullopt;
-    CacheEntry hit;
-    hit.summaryHash = arts->getStr("summary");
-    hit.metricsHash = arts->getStr("metrics");
     const auto summary = readFile(dir + "/summary.json");
     const auto metrics = readFile(dir + "/metrics.json");
     // A hit must verify against the stored content hashes: a corrupt
@@ -652,11 +416,6 @@ probeCache(const std::string &cacheDir, const std::string &hash)
         return std::nullopt;
     hit.summary = *summary;
     hit.metrics = *metrics;
-    hit.status = e.getStr("status");
-    hit.machine = e.getStr("machine");
-    hit.app = e.getStr("app");
-    hit.seconds = e.getNum("seconds");
-    hit.concurrency = e.getNum("concurrency");
     return hit;
 }
 
@@ -672,14 +431,9 @@ storeCache(const std::string &cacheDir, const std::string &hash,
     {
         JsonWriter w(meta);
         w.beginObject();
-        w.field("schema", "cedar-cache-v1");
+        w.field("schema", "cedar-cache-v2");
         w.field("hash", hash);
         w.field("scenario", scenarioName);
-        w.field("app", entry.app);
-        w.field("machine", entry.machine);
-        w.field("status", entry.status);
-        w.field("seconds", entry.seconds);
-        w.field("concurrency", entry.concurrency);
         w.key("artifacts").beginObject();
         w.field("summary", entry.summaryHash);
         w.field("metrics", entry.metricsHash);
@@ -710,37 +464,55 @@ publishArtifacts(const std::string &outDir, const std::string &name,
     atomicWriteFile(metricsPath(outDir, name), metrics);
 }
 
-/** Are the published artifacts intact per the journaled hashes? */
-bool
-publishedValid(const std::string &outDir, const std::string &name,
-               const ManifestState &st)
+/**
+ * The published summary of a journaled-done scenario, when both
+ * artifacts re-hash to the journaled content hashes.
+ */
+std::optional<std::string>
+publishedSummary(const std::string &outDir, const std::string &name,
+                 const ManifestState &st)
 {
     if (st.summaryHash.empty() || st.metricsHash.empty())
-        return false;
-    const auto summary = readFile(summaryPath(outDir, name));
+        return std::nullopt;
+    auto summary = readFile(summaryPath(outDir, name));
     const auto metrics = readFile(metricsPath(outDir, name));
-    return summary && metrics &&
-           hashHex(fnv1a64(*summary)) == st.summaryHash &&
-           hashHex(fnv1a64(*metrics)) == st.metricsHash;
+    if (!summary || !metrics ||
+        hashHex(fnv1a64(*summary)) != st.summaryHash ||
+        hashHex(fnv1a64(*metrics)) != st.metricsHash)
+        return std::nullopt;
+    return summary;
 }
 
-/** Fill a row's table columns from a published summary document. */
-void
-rowMetaFromSummary(StudyRow &row, const std::string &summaryJson)
+/**
+ * Fill a row's status and table columns from its cedar-scenario-v1
+ * summary: the one source for fresh, cached and resumed rows alike.
+ * Returns false, leaving the row untouched, when the text does not
+ * decode.
+ */
+bool
+rowFromSummary(StudyRow &row, const std::string &summaryJson)
 {
-    Jv doc;
+    std::string app, machine, status;
+    double seconds = 0, concurrency = 0;
     try {
-        doc = parseJson(summaryJson);
-    } catch (const SimError &) {
-        return;
+        const JsonValue doc = JsonValue::parse(summaryJson);
+        if (strOr(doc, "schema") != "cedar-scenario-v1")
+            return false;
+        app = strOr(doc, "app");
+        machine = strOr(doc.at("machine"), "label");
+        const JsonValue &run = doc.at("run");
+        status = strOr(run, "status");
+        seconds = numOr(run, "seconds");
+        concurrency = numOr(run, "concurrency");
+    } catch (const JsonParseError &) {
+        return false;
     }
-    row.app = doc.getStr("app");
-    if (const Jv *m = doc.get("machine"))
-        row.machine = m->getStr("label");
-    if (const Jv *r = doc.get("run")) {
-        row.seconds = r->getNum("seconds");
-        row.concurrency = r->getNum("concurrency");
-    }
+    row.app = std::move(app);
+    row.machine = std::move(machine);
+    row.status = std::move(status);
+    row.seconds = seconds;
+    row.concurrency = concurrency;
+    return true;
 }
 
 void
@@ -1031,9 +803,10 @@ runStudy(const std::vector<StudyEntry> &entries,
 
     const std::string journalPath = opts.outDir + "/manifest.jsonl";
     std::map<std::string, ManifestState> prior;
+    std::uintmax_t intact = 0;
     if (opts.resume)
-        prior = readManifest(journalPath);
-    ManifestJournal journal(journalPath, opts.resume);
+        prior = readManifest(journalPath, intact);
+    ManifestJournal journal(journalPath, intact);
 
     StudyReport rep;
     rep.rows.resize(entries.size());
@@ -1074,38 +847,29 @@ runStudy(const std::vector<StudyEntry> &entries,
             continue;
         }
         const auto it = prior.find(e.name);
-        if (it != prior.end() &&
+        const bool journaledDone =
+            it != prior.end() &&
             it->second.last == ManifestState::Last::done &&
-            it->second.hash == e.hash &&
-            publishedValid(opts.outDir, e.name, it->second)) {
+            it->second.hash == e.hash;
+        if (const auto published =
+                journaledDone
+                    ? publishedSummary(opts.outDir, e.name, it->second)
+                    : std::nullopt;
+            published && rowFromSummary(row, *published)) {
             row.state = StudyState::resumed;
-            row.status = it->second.status;
             artHashes[i] = {it->second.summaryHash,
                             it->second.metricsHash};
-            if (const auto hit = probeCache(cacheDir, e.hash)) {
-                row.machine = hit->machine;
-                row.app = hit->app;
-                row.seconds = hit->seconds;
-                row.concurrency = hit->concurrency;
-            } else if (const auto summary =
-                           readFile(summaryPath(opts.outDir, e.name))) {
-                rowMetaFromSummary(row, *summary);
-            }
             ++rep.resumed;
             notify(e, row.state, row.status);
             continue;
         }
-        if (const auto hit = probeCache(cacheDir, e.hash)) {
+        if (const auto hit = probeCache(cacheDir, e.hash);
+            hit && rowFromSummary(row, hit->summary)) {
             publishArtifacts(opts.outDir, e.name, hit->summary,
                              hit->metrics);
-            journal.cached(e.name, e.hash, hit->status,
-                           hit->summaryHash, hit->metricsHash);
+            journal.cached(e.name, e.hash, row.status, hit->summaryHash,
+                           hit->metricsHash);
             row.state = StudyState::cached;
-            row.status = hit->status;
-            row.machine = hit->machine;
-            row.app = hit->app;
-            row.seconds = hit->seconds;
-            row.concurrency = hit->concurrency;
             artHashes[i] = {hit->summaryHash, hit->metricsHash};
             ++rep.cached;
             notify(e, row.state, row.status);
@@ -1155,24 +919,20 @@ runStudy(const std::vector<StudyEntry> &entries,
                 ce.metrics = met.str();
                 ce.summaryHash = hashHex(fnv1a64(ce.summary));
                 ce.metricsHash = hashHex(fnv1a64(ce.metrics));
-                ce.status = sim::toString(r.status);
-                ce.machine = spec.config.label();
-                ce.app = r.app;
-                ce.seconds = r.seconds();
-                ce.concurrency = r.machineConcurrency;
+                // The row reads its columns back from the summary, as
+                // a cached or resumed row does (the writer's numbers
+                // round-trip exactly, so they are r's own bits).
+                if (!rowFromSummary(row, ce.summary))
+                    throw SimError("study: the summary of '" + e.name +
+                                   "' does not read back");
                 storeCache(cacheDir, e.hash, e.name, ce);
                 publishArtifacts(opts.outDir, e.name, ce.summary,
                                  ce.metrics);
-                journal.done(e.name, e.hash, attempt, ce.status,
+                journal.done(e.name, e.hash, attempt, row.status,
                              row.wallMs, ce.summaryHash,
                              ce.metricsHash);
                 row.state = StudyState::done;
-                row.status = ce.status;
                 row.error.clear();
-                row.machine = ce.machine;
-                row.app = ce.app;
-                row.seconds = ce.seconds;
-                row.concurrency = ce.concurrency;
                 artHashes[i] = {ce.summaryHash, ce.metricsHash};
                 break;
             } catch (const std::exception &ex) {

@@ -18,7 +18,8 @@
  *    fsynced per record. A killed study resumes with
  *    StudyOptions::resume — completed scenarios are verified against
  *    their journaled artifact hashes and skipped; incomplete or
- *    failed ones re-run. A deterministic snapshot
+ *    failed ones re-run; a torn journal tail is cut off before the
+ *    resume appends to it. A deterministic snapshot
  *    (`<out>/manifest.json`) is rewritten atomically at the end.
  *
  *  - **Content-addressed result cache** (`<out>/cache/<hash>/`,
@@ -26,7 +27,9 @@
  *    are keyed by core::canonicalHash of the ScenarioSpec, so
  *    overlapping grids and reruns serve bit-identical cached
  *    artifacts. Hits are verified against the stored content hashes;
- *    a corrupt cache entry is re-run, never served.
+ *    a corrupt cache entry is re-run, never served. A row's columns
+ *    come from its summary alone, so a cached, a resumed and a fresh
+ *    row agree bit for bit.
  *
  *  - **Per-scenario fault isolation**: parse errors, SimErrors and
  *    watchdog/deadlock/event-limit terminations mark that scenario
@@ -79,6 +82,9 @@ void atomicWriteFile(const std::string &path,
 
 /** Atomic write of a ready-made byte string. */
 void atomicWriteFile(const std::string &path, const std::string &content);
+
+/** The bytes of @p path, or nullopt when it cannot be opened. */
+std::optional<std::string> readFile(const std::string &path);
 
 /**
  * Write the one-scenario summary document (schema cedar-scenario-v1)
@@ -199,7 +205,10 @@ struct StudyRow
     std::string error;
     unsigned attempts = 0;
     double wallMs = 0.0;
-    /** Table data (valid for done/cached/resumed rows). */
+    /**
+     * Table data (valid for done/cached/resumed rows), decoded from
+     * the run's cedar-scenario-v1 summary, as is status for them.
+     */
     std::string machine;
     std::string app;
     double seconds = 0.0;
@@ -229,8 +238,7 @@ struct StudyReport
  * Run a study: journal, shard, resume, cache, retry and publish as
  * described in the file comment. Never throws for per-scenario
  * problems (they become failed rows); throws sim::SimError only for
- * study-level problems (unwritable output directory, corrupt
- * manifest on resume).
+ * study-level problems (an unwritable output directory or journal).
  */
 StudyReport runStudy(const std::vector<StudyEntry> &entries,
                      const StudyOptions &opts);

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
+#include <limits>
 #include <map>
 #include <ostream>
-#include <sstream>
 
 #include "bench_json.hh"
 #include "core/study.hh"
@@ -22,16 +21,15 @@ namespace
 using sim::ConfigError;
 using tools::JsonValue;
 using tools::JsonWriter;
+using tools::numOr;
+using tools::strOr;
 
 std::string
 slurpFile(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        throw ConfigError("summarize: cannot read " + path);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
+    if (auto text = readFile(path))
+        return std::move(*text);
+    throw ConfigError("summarize: cannot read " + path);
 }
 
 /** Parse with the file name attached to the diagnostic. */
@@ -45,22 +43,17 @@ parseDoc(const std::string &path, const std::string &text)
     }
 }
 
-double
-numOr(const JsonValue &obj, const std::string &key, double dflt = 0)
+/** The count @p key of @p path, read back as the double @p v, as an
+ *  @p Int: ConfigError unless it is a whole number that fits. */
+template <typename Int = std::uint64_t>
+Int
+count(double v, const std::string &path, const std::string &key)
 {
-    return obj.has(key) ? obj.at(key).asNumber() : dflt;
-}
-
-std::string
-strOr(const JsonValue &obj, const std::string &key)
-{
-    return obj.has(key) ? obj.at(key).asString() : std::string();
-}
-
-std::uint64_t
-u64(double v)
-{
-    return v <= 0 ? 0 : static_cast<std::uint64_t>(v);
+    const auto n = tools::toCount(v, std::numeric_limits<Int>::max());
+    if (!n)
+        throw ConfigError("summarize: " + path + ": \"" + key +
+                          "\" is not a whole number in range");
+    return static_cast<Int>(*n);
 }
 
 /** Merge one scenario's two artifacts into the in-memory record. */
@@ -85,35 +78,40 @@ loadScenario(const std::string &dir, const std::string &name,
     s.app = strOr(sum, "app");
     const JsonValue &mach = sum.at("machine");
     s.machineLabel = strOr(mach, "label");
-    s.nprocs = static_cast<unsigned>(numOr(mach, "nprocs"));
-    s.seed = u64(numOr(mach, "seed"));
+    s.nprocs = count<unsigned>(numOr(mach, "nprocs"), sumPath, "nprocs");
+    s.seed = count(numOr(mach, "seed"), sumPath, "seed");
     const JsonValue &run = sum.at("run");
     s.status = strOr(run, "status");
     s.scale = numOr(run, "scale", 1.0);
-    s.ct = u64(numOr(run, "ct_ticks"));
+    s.ct = count(numOr(run, "ct_ticks"), sumPath, "ct_ticks");
     s.seconds = numOr(run, "seconds");
     s.concurrency = numOr(run, "concurrency");
-    s.eventsExecuted = u64(numOr(run, "events_executed"));
+    s.eventsExecuted =
+        count(numOr(run, "events_executed"), sumPath, "events_executed");
     const JsonValue &con = sum.at("contention");
     s.groundTruthPct = numOr(con, "ground_truth_pct");
     s.moduleGini = numOr(con, "module_gini");
 
-    s.totalWaitTicks = u64(numOr(met, "total_wait_ticks"));
+    s.totalWaitTicks =
+        count(numOr(met, "total_wait_ticks"), metPath, "total_wait_ticks");
     for (const JsonValue &c : met.at("classes").asArray()) {
         SummaryScenario::ClassRow row;
         row.cls = strOr(c, "class");
-        row.resources = static_cast<unsigned>(numOr(c, "resources"));
-        row.requests = u64(numOr(c, "requests"));
-        row.waitTicks = u64(numOr(c, "wait_ticks"));
-        row.busyTicks = u64(numOr(c, "busy_ticks"));
+        row.resources =
+            count<unsigned>(numOr(c, "resources"), metPath, "resources");
+        row.requests = count(numOr(c, "requests"), metPath, "requests");
+        row.waitTicks = count(numOr(c, "wait_ticks"), metPath, "wait_ticks");
+        row.busyTicks = count(numOr(c, "busy_ticks"), metPath, "busy_ticks");
         row.utilization = numOr(c, "utilization");
         row.waitShare = numOr(c, "wait_share");
         if (c.has("wait_hist")) {
             const JsonValue &h = c.at("wait_hist");
-            row.histWidth = u64(numOr(h, "bucket_width"));
-            row.histMax = u64(numOr(h, "max"));
+            row.histWidth =
+                count(numOr(h, "bucket_width"), metPath, "bucket_width");
+            row.histMax = count(numOr(h, "max"), metPath, "max");
             for (const JsonValue &b : h.at("buckets").asArray())
-                row.histBuckets.push_back(u64(b.asNumber()));
+                row.histBuckets.push_back(
+                    count(b.asNumber(), metPath, "buckets"));
         }
         s.classes.push_back(std::move(row));
     }
@@ -122,7 +120,8 @@ loadScenario(const std::string &dir, const std::string &name,
             SummaryScenario::HotSpot hs;
             hs.name = strOr(h, "name");
             hs.cls = strOr(h, "class");
-            hs.waitTicks = u64(numOr(h, "wait_ticks"));
+            hs.waitTicks =
+                count(numOr(h, "wait_ticks"), metPath, "wait_ticks");
             hs.waitShare = numOr(h, "wait_share");
             s.hotSpots.push_back(std::move(hs));
         }

@@ -9,7 +9,8 @@
  * doubles. The writer's layout (commas, indentation, key/value
  * pairing, the trailing newline), its escaping and its flush
  * contract are pinned too, and the reader's number parsing is
- * checked against strtod.
+ * checked against strtod, as are its lenient getters and the checked
+ * count conversion.
  */
 
 #include <gtest/gtest.h>
@@ -391,6 +392,40 @@ TEST(JsonReader, NumbersInsideDocuments)
     EXPECT_THROW(JsonValue::parse("1."), cedar::tools::JsonParseError);
     EXPECT_THROW(JsonValue::parse("-"), cedar::tools::JsonParseError);
     EXPECT_THROW(JsonValue::parse("1e+"), cedar::tools::JsonParseError);
+}
+
+TEST(JsonReader, LenientGettersDefaultMissingRejectWrongType)
+{
+    using cedar::tools::numOr;
+    using cedar::tools::strOr;
+    const JsonValue doc =
+        JsonValue::parse("{\"n\": 2.5, \"s\": \"x\", \"k\": 1, \"k\": \"y\"}");
+    EXPECT_EQ(numOr(doc, "n"), 2.5);
+    EXPECT_EQ(numOr(doc, "missing", 7), 7);
+    EXPECT_EQ(strOr(doc, "s"), "x");
+    EXPECT_EQ(strOr(doc, "missing"), "");
+    EXPECT_EQ(numOr(doc, "k"), 1) << "the first of duplicate keys wins";
+    EXPECT_THROW(numOr(doc, "s"), cedar::tools::JsonParseError);
+    EXPECT_THROW(strOr(doc, "n"), cedar::tools::JsonParseError);
+    // A non-object has no members.
+    EXPECT_EQ(strOr(JsonValue::parse("[1]"), "s"), "");
+}
+
+TEST(JsonReader, ToCountRefusesWhatACastCannotHold)
+{
+    using cedar::tools::toCount;
+    EXPECT_EQ(toCount(0), 0u);
+    EXPECT_EQ(toCount(-0.0), 0u);
+    EXPECT_EQ(toCount(7), 7u);
+    EXPECT_EQ(toCount(0x1p53), 1ULL << 53);
+    EXPECT_EQ(toCount(0x1p64 - 2048), ~0ULL - 2047);
+    EXPECT_EQ(toCount(4294967295.0, 0xffffffffu), 0xffffffffu);
+    for (const double bad :
+         {-1.0, -0.5, 2.5, 0x1p64, 1e20, 1e30, HUGE_VAL, -HUGE_VAL,
+          std::numeric_limits<double>::quiet_NaN()})
+        EXPECT_FALSE(toCount(bad).has_value()) << bad;
+    EXPECT_FALSE(toCount(4294967296.0, 0xffffffffu).has_value());
+    EXPECT_FALSE(toCount(JsonValue::parse("1e999").asNumber()));
 }
 
 } // namespace

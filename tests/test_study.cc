@@ -6,16 +6,22 @@
  * content-addressed result cache (bit-identity, corruption
  * detection), deterministic sharding (union == full run), grid
  * expansion, and the flagship kill-mid-study --resume bit-identity
- * guarantee.
+ * guarantee. Tables of malformed journal lines and cache entries pin
+ * what resume and the cache make of each, and a fresh, a cached and
+ * a resumed row must carry the same columns bit for bit.
  */
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <bit>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
+#include <vector>
 
 #include "core/scenario.hh"
 #include "core/study.hh"
@@ -366,20 +372,130 @@ TEST(StudyCache, CorruptCacheEntryIsReRunNotServed)
     const auto first = core::runStudy(entries, optsFor(out));
     ASSERT_EQ(first.ran, 1u);
     const std::string good = slurp(out / "a.json");
+    const std::string hash = first.rows[0].hash;
+    const fs::path entryDir = fs::path(out.str()) / "cache" / hash;
 
-    // Flip bytes in the cached summary: the stored content hash no
-    // longer matches, so the probe must miss.
-    const fs::path cached = fs::path(out.str()) / "cache" /
-                            first.rows[0].hash / "summary.json";
-    spit(cached, "{\"schema\": \"cedar-scenario-v1\", \"evil\": 1}\n");
+    // A cedar-cache-v2 entry.json with the members in `extra` spliced
+    // in after its key.
+    const std::string arts =
+        "\"artifacts\":{\"summary\":\"" +
+        core::hashHex(core::fnv1a64(good)) + "\",\"metrics\":\"" +
+        core::hashHex(core::fnv1a64(slurp(out / "a.metrics.json"))) +
+        "\"}";
+    const auto v2 = [&](const std::string &extra) {
+        return "{\"schema\":\"cedar-cache-v2\",\"hash\":\"" + hash +
+               "\"," + extra + arts + "}";
+    };
+    const std::string ok = v2("\"scenario\":\"a\",");
 
-    TempDir outB;
+    struct Case
+    {
+        const char *what;
+        const char *file; //!< in the cache entry's directory
+        std::string text;
+        bool served;
+    };
+    const std::vector<Case> cases = {
+        // Flip bytes in the cached summary: the stored content hash no
+        // longer matches, so the probe must miss.
+        {"corrupt summary", "summary.json",
+         "{\"schema\": \"cedar-scenario-v1\", \"evil\": 1}\n", false},
+        {"intact entry", "entry.json", ok, true},
+        {"truncated entry", "entry.json", ok.substr(0, ok.size() / 2),
+         false},
+        {"bad escape", "entry.json", v2("\"scenario\":\"a\\q\","), false},
+        {"duplicate key, first wins", "entry.json",
+         v2("\"hash\":\"bogus\","), true},
+        {"duplicate key, the first (wrong) hash wins", "entry.json",
+         "{\"schema\":\"cedar-cache-v2\",\"hash\":\"bogus\",\"hash\":\"" +
+             hash + "\"," + arts + "}",
+         false},
+        {"trailing comma", "entry.json",
+         ok.substr(0, ok.size() - 1) + ",}", false},
+        {"non-object", "entry.json", "[" + ok + "]", false},
+        {"wrong-typed hash", "entry.json",
+         "{\"schema\":\"cedar-cache-v2\",\"hash\":7," + arts + "}",
+         false},
+        {"wrong-typed artifact hash", "entry.json",
+         "{\"schema\":\"cedar-cache-v2\",\"hash\":\"" + hash +
+             "\",\"artifacts\":{\"summary\":1,\"metrics\":2}}",
+         false},
+        // A cedar-cache-v1 entry (row columns and all) is a verified
+        // miss; the re-run rewrites it as v2.
+        {"v1 entry", "entry.json",
+         "{\"schema\":\"cedar-cache-v1\",\"hash\":\"" + hash +
+             "\",\"scenario\":\"a\",\"app\":\"tiny\",\"machine\":\"x\","
+             "\"status\":\"completed\",\"seconds\":1,"
+             "\"concurrency\":1," +
+             arts + "}",
+         false},
+        // Inputs on which lenient JSON readers disagree: numbers in a
+        // form JSON does not allow and a lone surrogate do not parse;
+        // a non-ASCII escape and a number past the double range do.
+        {"number +1", "entry.json", v2("\"x\":+1,"), false},
+        {"number 1-2", "entry.json", v2("\"x\":1-2,"), false},
+        {"number 1.", "entry.json", v2("\"x\":1.,"), false},
+        {"lone surrogate", "entry.json", v2("\"scenario\":\"\\ud800\","),
+         false},
+        {"non-ASCII escape", "entry.json",
+         v2("\"scenario\":\"\\u00e9\","), true},
+        {"number 1e999", "entry.json", v2("\"x\":1e999,"), true},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.what);
+        spit(entryDir / c.file, c.text);
+        TempDir outB;
+        auto optsB = optsFor(outB);
+        optsB.cacheDir = out.str() + "/cache";
+        const auto second = core::runStudy(entries, optsB);
+        EXPECT_EQ(second.cached, c.served ? 1u : 0u);
+        EXPECT_EQ(second.ran, c.served ? 0u : 1u);
+        EXPECT_EQ(slurp(outB / "a.json"), good);
+        // A miss re-runs once: it stores an entry the next study is
+        // served from.
+        if (!c.served) {
+            TempDir outC;
+            auto optsC = optsFor(outC);
+            optsC.cacheDir = optsB.cacheDir;
+            EXPECT_EQ(core::runStudy(entries, optsC).cached, 1u);
+        }
+    }
+}
+
+TEST(StudyCache, RowColumnsAgreeFreshCachedResumed)
+{
+    TempDir scns, outA, outB;
+    writeScn(scns, "a.scn", tinyScenario("a"));
+    const auto entries = core::loadScenarioDir(scns.str());
+    const auto fresh = core::runStudy(entries, optsFor(outA));
     auto optsB = optsFor(outB);
-    optsB.cacheDir = out.str() + "/cache";
-    const auto second = core::runStudy(entries, optsB);
-    EXPECT_EQ(second.cached, 0u);
-    EXPECT_EQ(second.ran, 1u);
-    EXPECT_EQ(slurp(outB / "a.json"), good);
+    optsB.cacheDir = outA.str() + "/cache";
+    const auto cached = core::runStudy(entries, optsB);
+    auto optsR = optsFor(outA);
+    optsR.resume = true;
+    const auto resumed = core::runStudy(entries, optsR);
+    ASSERT_EQ(fresh.rows[0].state, core::StudyState::done);
+    ASSERT_EQ(cached.rows[0].state, core::StudyState::cached);
+    ASSERT_EQ(resumed.rows[0].state, core::StudyState::resumed);
+
+    const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+    // The fresh row carries the run's own numbers...
+    const core::RunResult r = core::runScenario(*entries[0].spec);
+    const core::StudyRow &want = fresh.rows[0];
+    EXPECT_EQ(want.app, r.app);
+    EXPECT_EQ(want.machine, entries[0].spec->config.label());
+    EXPECT_EQ(want.status, "completed");
+    EXPECT_EQ(bits(want.seconds), bits(r.seconds()));
+    EXPECT_EQ(bits(want.concurrency), bits(r.machineConcurrency));
+    // ...and the cached and resumed rows the same bits.
+    for (const core::StudyRow *got : {&cached.rows[0], &resumed.rows[0]}) {
+        SCOPED_TRACE(core::toString(got->state));
+        EXPECT_EQ(got->app, want.app);
+        EXPECT_EQ(got->machine, want.machine);
+        EXPECT_EQ(got->status, want.status);
+        EXPECT_EQ(bits(got->seconds), bits(want.seconds));
+        EXPECT_EQ(bits(got->concurrency), bits(want.concurrency));
+    }
 }
 
 TEST(StudyCache, PaperPointLadderBitIdenticalThroughCache)
@@ -539,18 +655,146 @@ TEST(StudyResume, TornJournalTailIsTolerated)
     writeScn(scns, "a.scn", tinyScenario("a"));
     const auto entries = core::loadScenarioDir(scns.str());
     core::runStudy(entries, optsFor(out));
+    const std::string journal = slurp(out / "manifest.jsonl");
 
     // A kill mid-write leaves a torn (unterminated) final record.
-    std::ofstream append(out / "manifest.jsonl",
-                         std::ios::app | std::ios::binary);
-    append << "{\"rec\":\"start\",\"scenario\":\"a\",\"ha";
-    append.close();
-
+    spit(out / "manifest.jsonl",
+         journal + "{\"rec\":\"start\",\"scenario\":\"a\",\"ha");
     auto opts = optsFor(out);
     opts.resume = true;
     const auto rep = core::runStudy(entries, opts);
     EXPECT_EQ(rep.resumed, 1u);
     EXPECT_EQ(rep.ran, 0u);
+
+    // Each case appends a line to the finished journal, where "a" is
+    // done at attempt 1, and then a marker: a failed record of
+    // another scenario, which the snapshot lists once the fold has
+    // read it. A line that does not parse ends the fold (the marker
+    // goes unread); a line that parses but is malformed is skipped
+    // (the marker is read); a well-formed start of "a" reopens it and
+    // the resume re-runs it with the next attempt number.
+    const std::string start = "{\"rec\":\"start\",\"scenario\":";
+    const std::string marker =
+        "\n{\"rec\":\"failed\",\"scenario\":\"zz\",\"hash\":\"h\","
+        "\"attempt\":1,\"status\":\"error\",\"error\":\"e\"}\n";
+    struct Case
+    {
+        const char *what;
+        std::string line;
+        unsigned attempt;   //!< of the re-run of "a"; 0 = resumed
+        bool markerRead;    //!< the fold went on past the line
+        std::string listed; //!< another name the snapshot must list
+    };
+    const std::vector<Case> cases = {
+        {"intact start", start + "\"a\",\"attempt\":3}", 4, true, ""},
+        {"bad escape", start + "\"a\\q\",\"attempt\":5}", 0, false, ""},
+        {"duplicate key, first wins",
+         start + "\"a\",\"scenario\":\"b\",\"attempt\":5}", 6, true, ""},
+        {"trailing comma", start + "\"a\",\"attempt\":5,}", 0, false, ""},
+        {"non-object line", "[\"rec\",\"start\",\"scenario\",\"a\"]", 0,
+         true, ""},
+        {"scalar line", "42", 0, true, ""},
+        {"wrong-typed attempt", start + "\"a\",\"attempt\":\"9\"}", 0, true,
+         ""},
+        {"wrong-typed scenario", start + "7,\"attempt\":5}", 0, true, ""},
+        {"wrong-typed artifact hashes",
+         "{\"rec\":\"done\",\"scenario\":\"a\",\"hash\":\"" +
+             entries[0].hash +
+             "\",\"attempt\":1,\"status\":\"completed\","
+             "\"artifacts\":{\"summary\":1,\"metrics\":2}}",
+         0, true, ""},
+        // An attempt count no unsigned holds makes the record
+        // malformed rather than wrap or overflow a cast.
+        {"attempt -1", start + "\"a\",\"attempt\":-1}", 0, true, ""},
+        {"attempt 2.5", start + "\"a\",\"attempt\":2.5}", 0, true, ""},
+        {"attempt 1e20", start + "\"a\",\"attempt\":1e20}", 0, true, ""},
+        {"attempt 2^32", start + "\"a\",\"attempt\":4294967296}", 0, true,
+         ""},
+        // Inputs on which lenient JSON readers disagree: numbers in
+        // forms JSON does not allow and a lone surrogate do not parse;
+        // a non-ASCII escape decodes to UTF-8; 1e999 reads as inf,
+        // which is no attempt count.
+        {"number +1", start + "\"a\",\"attempt\":+1}", 0, false, ""},
+        {"number 1-2", start + "\"a\",\"attempt\":1-2}", 0, false, ""},
+        {"number 1.", start + "\"a\",\"attempt\":1.}", 0, false, ""},
+        {"lone surrogate", start + "\"a\\ud800\",\"attempt\":5}", 0, false,
+         ""},
+        {"ASCII escape", start + "\"\\u0061\",\"attempt\":5}", 6, true, ""},
+        {"non-ASCII escape", start + "\"\\u00e9\",\"attempt\":5}", 0, true,
+         "\xc3\xa9"},
+        {"number 1e999", start + "\"a\",\"attempt\":1e999}", 0, true, ""},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.what);
+        spit(out / "manifest.jsonl", journal + c.line + marker);
+        // An empty cache, so a scenario that is not resumed really
+        // re-runs and shows its attempt number.
+        TempDir cache;
+        opts.cacheDir = cache.str();
+        const auto rep = core::runStudy(entries, opts);
+        EXPECT_EQ(rep.resumed, c.attempt == 0 ? 1u : 0u);
+        EXPECT_EQ(rep.ran, c.attempt == 0 ? 0u : 1u);
+        EXPECT_EQ(rep.rows[0].attempts, c.attempt);
+        const std::string snapshot = slurp(out / "manifest.json");
+        EXPECT_EQ(snapshot.find("\"name\": \"zz\"") != std::string::npos,
+                  c.markerRead);
+        if (!c.listed.empty()) {
+            EXPECT_NE(snapshot.find("\"name\": \"" + c.listed + "\""),
+                      std::string::npos);
+        }
+    }
+}
+
+TEST(StudyResume, JournalCutAtAnyRecordEdgeResumesBitIdentical)
+{
+    TempDir scns, uninterrupted, killed;
+    for (const char *name : {"a", "b", "c"})
+        writeScn(scns, std::string(name) + ".scn",
+                 tinyScenario(name));
+    const auto entries = core::loadScenarioDir(scns.str());
+    ASSERT_EQ(core::runStudy(entries, optsFor(uninterrupted)).ran, 3u);
+    ASSERT_EQ(core::runStudy(entries, optsFor(killed)).ran, 3u);
+    const std::string journal = slurp(killed / "manifest.jsonl");
+
+    // Cut at every record boundary, and keep the first byte, the
+    // middle byte or all but the '\n' of every record.
+    std::set<std::size_t> cuts = {0};
+    for (std::size_t begin = 0; begin < journal.size();) {
+        const std::size_t nl = journal.find('\n', begin);
+        ASSERT_NE(nl, std::string::npos);
+        cuts.insert({begin + 1, begin + (nl - begin) / 2, nl, nl + 1});
+        begin = nl + 1;
+    }
+    EXPECT_EQ(cuts.size(), 29u) << "3 scenarios: 7 records";
+
+    for (const std::size_t cut : cuts) {
+        SCOPED_TRACE("journal cut to " + std::to_string(cut) + " bytes");
+        spit(killed / "manifest.jsonl", journal.substr(0, cut));
+        fs::remove(killed / "manifest.json");
+        // An empty cache, so whatever the cut journal has not finished
+        // really re-runs.
+        TempDir cache;
+        auto opts = optsFor(killed);
+        opts.resume = true;
+        opts.cacheDir = cache.str();
+        const auto rep = core::runStudy(entries, opts);
+        EXPECT_EQ(rep.ran + rep.resumed, 3u);
+        EXPECT_EQ(rep.exitCode(), 0);
+        for (const char *name : {"a", "b", "c"}) {
+            EXPECT_EQ(slurp(killed / (std::string(name) + ".json")),
+                      slurp(uninterrupted / (std::string(name) + ".json")))
+                << name;
+            EXPECT_EQ(
+                slurp(killed / (std::string(name) + ".metrics.json")),
+                slurp(uninterrupted /
+                      (std::string(name) + ".metrics.json")))
+                << name;
+        }
+        EXPECT_EQ(slurp(killed / "manifest.json"),
+                  slurp(uninterrupted / "manifest.json"));
+        // The resume left a journal a second resume reads in full.
+        EXPECT_EQ(core::runStudy(entries, opts).resumed, 3u);
+    }
 }
 
 TEST(StudyResume, StaleArtifactsForceReRun)

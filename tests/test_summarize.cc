@@ -296,6 +296,61 @@ TEST(Summarize, SameNameDifferentContentRefusesToMerge)
     EXPECT_THROW(core::buildSummary(o), ConfigError);
 }
 
+TEST(Summarize, CountsThatDoNotFitAreConfigErrors)
+{
+    TempDir scns, out;
+    writeScn(scns, "a.scn", tinyScenario("a"));
+    ASSERT_EQ(core::runStudy(core::loadScenarioDir(scns.str()),
+                             optsFor(out))
+                  .exitCode(),
+              0);
+    core::SummarizeOptions o;
+    o.dirs = {out.str()};
+    ASSERT_NO_THROW(core::buildSummary(o));
+
+    // Each case rewrites the first value of one count field; a count
+    // that is negative, fractional, not finite or too wide for its
+    // field must be a ConfigError naming the field, never a cast.
+    struct Case
+    {
+        const char *file;
+        const char *key;
+        const char *value;
+    };
+    const std::vector<Case> cases = {
+        {"a.json", "seed", "1e30"},
+        {"a.json", "seed", "-1"},
+        {"a.json", "ct_ticks", "2.5"},
+        {"a.json", "events_executed", "1e999"},
+        {"a.json", "nprocs", "4294967296"},
+        {"a.metrics.json", "resources", "4294967296"},
+        {"a.metrics.json", "requests", "1e20"},
+        {"a.metrics.json", "bucket_width", "-3"},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(std::string(c.file) + " " + c.key + " = " + c.value);
+        const fs::path p = out / c.file;
+        const std::string good = slurp(p);
+        const std::string field = "\"" + std::string(c.key) + "\": ";
+        const auto at = good.find(field);
+        ASSERT_NE(at, std::string::npos);
+        const auto from = at + field.size();
+        const auto to = good.find_first_of(",\n", from);
+        spit(p, good.substr(0, from) + c.value + good.substr(to));
+        try {
+            core::buildSummary(o);
+            ADD_FAILURE() << "expected ConfigError";
+        } catch (const ConfigError &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find(std::string("\"") + c.key +
+                                "\" is not a whole number in range"),
+                      std::string::npos)
+                << what;
+        }
+        spit(p, good);
+    }
+}
+
 TEST(Summarize, EmptyInputsRejected)
 {
     EXPECT_THROW(core::buildSummary(core::SummarizeOptions{}),

@@ -582,4 +582,29 @@ JsonValue::parse(const std::string &text)
     return JsonParser(text).document();
 }
 
+double
+numOr(const JsonValue &obj, const std::string &key, double dflt)
+{
+    return obj.has(key) ? obj.at(key).asNumber() : dflt;
+}
+
+std::string
+strOr(const JsonValue &obj, const std::string &key)
+{
+    return obj.has(key) ? obj.at(key).asString() : std::string();
+}
+
+std::optional<std::uint64_t>
+toCount(double v, std::uint64_t max)
+{
+    // 0x1p64 is the first double past the uint64_t range; the negated
+    // test also turns NaN away.
+    if (!(v >= 0.0 && v < 0x1p64) || v != std::trunc(v))
+        return std::nullopt;
+    const auto n = static_cast<std::uint64_t>(v);
+    if (n > max)
+        return std::nullopt;
+    return n;
+}
+
 } // namespace cedar::tools

@@ -6,7 +6,8 @@
  * project writes: span and Chrome traces (obs/chrome_trace), the
  * cedar-metrics-v1, report, summary and study artifacts, and the
  * benchmark trajectories (bench/sweep_perf, perfbench). JsonValue
- * reads documents back (tools/bench_delta, core/summarize). The
+ * reads documents back (tools/bench_delta, core/summarize, and
+ * core/study's manifest journal, cache entries and summaries). The
  * writer covers nested objects/arrays, string/number/bool scalars,
  * RFC 8259 string escaping and round-trippable numbers: the fewest
  * `%.{p}g` digits that parse back exactly, formatted with
@@ -29,6 +30,7 @@
 #define CEDAR_TOOLS_BENCH_JSON_HH
 
 #include <cstdint>
+#include <optional>
 #include <ostream>
 #include <stdexcept>
 #include <string>
@@ -148,6 +150,25 @@ class JsonValue
 
     friend class JsonParser;
 };
+
+/** Member @p key as a number, @p dflt when @p obj has no such key;
+ *  throws JsonParseError when the member is not a number. */
+double numOr(const JsonValue &obj, const std::string &key,
+             double dflt = 0);
+
+/** Member @p key as a string, empty when @p obj has no such key;
+ *  throws JsonParseError when the member is not a string. */
+std::string strOr(const JsonValue &obj, const std::string &key);
+
+/**
+ * @p v as an integer count no greater than @p max, or nullopt when it
+ * is negative, not a whole number, not finite or above @p max. Every
+ * JSON number reads back as a double, and casting one outside the
+ * target type's range is undefined behaviour, so counts read from
+ * untrusted documents go through here.
+ */
+std::optional<std::uint64_t> toCount(double v,
+                                     std::uint64_t max = UINT64_MAX);
 
 } // namespace cedar::tools
 
